@@ -151,10 +151,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"group b: n={group_b.n} mean={group_b.mean} ci{args.level:.2f}={format_interval(*ci_b)}")
     if args.reference_t is not None:
         delta = t - args.reference_t
-        print(
-            f"reference t = {args.reference_t:.4f}, delta = {delta:+.4f}"
-            f" (computed value differs from the reference)"
-        )
+        differs = f"{t:.4f}" != f"{args.reference_t:.4f}"
+        note = " (computed value differs from the reference)" if differs else ""
+        print(f"reference t = {args.reference_t:.4f}, delta = {delta:+.4f}{note}")
     return 0
 
 

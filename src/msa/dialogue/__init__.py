@@ -1,4 +1,8 @@
-"""Dialogue runtime: turns, roles, commitments, drift, and the reply pipeline."""
+"""Dialogue runtime: turns, roles, commitments, drift, and LLM clients.
+
+The reply pipeline is imported from msa.dialogue.pipeline, not from here: it
+uses msa.scoring, which uses this package.
+"""
 
 from .commitments import (
     ChainState,
@@ -17,7 +21,6 @@ from .llm import (
     StubLlmClient,
     client_from_name,
 )
-from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .roles import (
     DEFAULT_ROLE_POLICY,
     RolePolicy,
@@ -46,8 +49,6 @@ __all__ = [
     "DriftReport",
     "LlmClient",
     "PatternSet",
-    "PipelineConfig",
-    "PipelineResult",
     "PragmaticRole",
     "RemoteLlmClient",
     "RolePolicy",
@@ -65,6 +66,5 @@ __all__ = [
     "load_transcript_jsonl",
     "monitor_role_transition",
     "replay",
-    "run_pipeline",
     "update_commitments",
 ]

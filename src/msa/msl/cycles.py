@@ -3,15 +3,18 @@
 A closed loop is an elementary directed cycle: every node on it is distinct.
 Loops are reported in canonical rotation (lexicographically smallest node
 first), parallel edges collapse to one adjacency, and a self-edge counts as a
-length-1 loop. Enumeration is inherently exponential in the worst case, so
-exhaustive mode refuses graphs beyond EXHAUSTIVE_NODE_LIMIT nodes; above the
-limit callers fall back to cyclic_components, which only names the strongly
-connected components that contain a cycle.
+length-1 loop. Enumeration uses Johnson's algorithm (D. B. Johnson, "Finding
+all the elementary circuits of a directed graph", SIAM J. Comput. 1975), whose
+work is O((V+E)(C+1)) for V nodes, E edges and C loops: a single ring costs one
+pass. C itself can be exponential in V, so exhaustive mode refuses graphs beyond
+EXHAUSTIVE_NODE_LIMIT nodes; above the limit callers fall back to
+cyclic_components, which only names the strongly connected components that
+contain a cycle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import GraphTooLarge
 from .graph import ResponsibilityGraph, SpeakerId
@@ -19,7 +22,7 @@ from .graph import ResponsibilityGraph, SpeakerId
 EXHAUSTIVE_NODE_LIMIT = 10_000
 
 
-def _tarjan_sccs(adj: dict[str, set[str]]) -> list[set[str]]:
+def _tarjan_sccs(adj: Mapping[str, Iterable[str]]) -> list[set[str]]:
     """Strongly connected components, iteratively (no recursion limit issues)."""
     index_of: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -68,24 +71,6 @@ def _tarjan_sccs(adj: dict[str, set[str]]) -> list[set[str]]:
     return sccs
 
 
-def _reaches(adj: dict[str, set[str]], allowed: set[str], goal: str) -> set[str]:
-    """Nodes in ``allowed`` that can reach ``goal`` through ``allowed``."""
-    reverse: dict[str, set[str]] = {node: set() for node in allowed}
-    for node in allowed:
-        for succ in adj[node]:
-            if succ in allowed:
-                reverse[succ].add(node)
-    found = {goal}
-    frontier = [goal]
-    while frontier:
-        node = frontier.pop()
-        for pred in reverse[node]:
-            if pred not in found:
-                found.add(pred)
-                frontier.append(pred)
-    return found
-
-
 def detect_closed_loops(graph: ResponsibilityGraph) -> frozenset[tuple[SpeakerId, ...]]:
     """Every elementary directed cycle, canonically rotated, exactly once.
 
@@ -98,41 +83,56 @@ def detect_closed_loops(graph: ResponsibilityGraph) -> frozenset[tuple[SpeakerId
             f"{EXHAUSTIVE_NODE_LIMIT}; use cyclic_components instead"
         )
     adj = graph.adjacency()
-    loops: set[tuple[SpeakerId, ...]] = set()
-    for node in sorted(adj):
-        if node in adj[node]:
-            loops.add((node,))
+    loops: set[tuple[SpeakerId, ...]] = {(node,) for node in adj if node in adj[node]}
 
-    # Cycles of length >= 2 live entirely inside one SCC. Within each SCC,
-    # anchor the search at each node in ascending order and only walk nodes
-    # that are lexicographically greater than the anchor and can still reach
-    # it, which yields each cycle exactly once, already in canonical rotation.
-    for component in _tarjan_sccs(adj):
-        if len(component) < 2:
-            continue
-        for anchor in sorted(component):
-            allowed = {n for n in component if n >= anchor}
-            useful = _reaches(adj, allowed, anchor)
-            step = {n: sorted(s for s in adj[n] if s in useful) for n in useful}
-            path = [anchor]
-            on_path = {anchor}
-            iters = [iter(step[anchor])]
-            while iters:
-                try:
-                    succ = next(iters[-1])
-                except StopIteration:
-                    iters.pop()
-                    on_path.discard(path.pop())
-                    continue
+    # Cycles of length >= 2 live entirely inside one SCC. Anchor each cyclic
+    # SCC at its smallest node, which makes every circuit through the anchor
+    # come out already in canonical rotation; then drop the anchor and split
+    # the rest of the SCC again. Each SCC taken from `pending` yields at least
+    # one circuit, which is what bounds the work by the number of loops.
+    pending = [c for c in _tarjan_sccs(adj) if len(c) > 1]
+    while pending:
+        component = pending.pop()
+        step = {n: [s for s in adj[n] if s in component and s != n] for n in component}
+        anchor = min(component)
+        # Johnson's blocking: a node stays blocked until a circuit is found
+        # through it, or until a node in its wait list (`waits`) is unblocked.
+        blocked = {anchor}
+        waits: dict[str, set[str]] = {n: set() for n in component}
+        path = [anchor]
+        closed = [False]  # closed[i]: a circuit was found below path[i]
+        iters = [iter(step[anchor])]
+        while iters:
+            node = path[-1]
+            for succ in iters[-1]:
                 if succ == anchor:
-                    if len(path) >= 2:
-                        loops.add(tuple(path))
-                    continue
-                if succ in on_path:
-                    continue
-                path.append(succ)
-                on_path.add(succ)
-                iters.append(iter(step[succ]))
+                    loops.add(tuple(path))
+                    closed[-1] = True
+                elif succ not in blocked:
+                    blocked.add(succ)
+                    path.append(succ)
+                    closed.append(False)
+                    iters.append(iter(step[succ]))
+                    break
+            else:
+                iters.pop()
+                path.pop()
+                found = closed.pop()
+                if found:
+                    release = [node]
+                    while release:
+                        freed = release.pop()
+                        if freed in blocked:
+                            blocked.discard(freed)
+                            release.extend(waits[freed])
+                            waits[freed].clear()
+                    if closed:
+                        closed[-1] = True
+                else:
+                    for succ in step[node]:
+                        waits[succ].add(node)
+        rest = {n: [s for s in step[n] if s != anchor] for n in component if n != anchor}
+        pending.extend(c for c in _tarjan_sccs(rest) if len(c) > 1)
     return frozenset(loops)
 
 

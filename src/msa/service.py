@@ -48,7 +48,9 @@ def analyze_graph_report(graph: ResponsibilityGraph) -> dict[str, object]:
         report["exhaustive"] = False
     else:
         loops = detect_closed_loops(graph)
-        report["loops"] = sorted((list(loop) for loop in loops), key=lambda l: (len(l), l))
+        ordered = sorted(loops)
+        ordered.sort(key=len)  # stable: by length, then by nodes
+        report["loops"] = [list(loop) for loop in ordered]
         report["self_retention"] = sorted(loop[0] for loop in loops if len(loop) == 1)
         report["exhaustive"] = True
     report["partial_drift"] = sorted(detect_partial_drift(graph))

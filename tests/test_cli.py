@@ -123,6 +123,16 @@ def test_stats_subcommand_reports_reference_delta():
     assert "t(1473) = 46.0657" in proc.stdout
     assert "[6.38, 6.42]" in proc.stdout
     assert "delta = +1.4257" in proc.stdout
+    assert "(computed value differs from the reference)" in proc.stdout
+
+
+def test_stats_omits_difference_note_when_reference_matches():
+    proc = run_cli(
+        "stats", "--a", "1102,7.8,0.57", "--b", "373,6.4,0.24", "--reference-t", "46.0657"
+    )
+    assert proc.returncode == 0
+    assert "reference t = 46.0657, delta = " in proc.stdout
+    assert "differs" not in proc.stdout
 
 
 def test_stats_welch_variant():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msa.msl.cycles import detect_closed_loops, is_closed_loop
 from msa.msl.graph import detect_partial_drift
+from msa.service import analyze_graph_report
 from helpers import brute_force_drift, brute_force_loops, make_graph
 
 NODE_POOL = ["a", "b", "c", "d", "e", "f", "g", "h"]
@@ -77,3 +80,57 @@ def test_thousand_random_graphs_seeded():
         g = make_graph(nodes, pairs)
         assert detect_closed_loops(g) == frozenset(brute_force_loops(g))
         assert detect_partial_drift(g) == frozenset(brute_force_drift(g))
+
+
+def _random_digraph(rng: random.Random, n: int, density: float):
+    nodes = [f"n{i:02d}" for i in range(n)]
+    pairs = [(a, b) for a in nodes for b in nodes if rng.random() < density]
+    return nodes, pairs
+
+
+def _ring(n: int):
+    nodes = [f"r{i:05d}" for i in range(n)]
+    return make_graph(nodes, [(nodes[i], nodes[(i + 1) % n]) for i in range(n)])
+
+
+def test_loops_match_networkx_on_graphs_too_big_for_brute_force():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+    for _ in range(40):
+        nodes, pairs = _random_digraph(rng, rng.randint(9, 16), rng.uniform(0.08, 0.22))
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(nodes)
+        oracle.add_edges_from(pairs)
+        expected = set()
+        for cycle in nx.simple_cycles(oracle):
+            head = cycle.index(min(cycle))
+            expected.add(tuple(cycle[head:] + cycle[:head]))
+        assert detect_closed_loops(make_graph(nodes, pairs)) == frozenset(expected)
+
+
+def test_large_ring_is_one_loop():
+    graph = _ring(2_000)
+    assert detect_closed_loops(graph) == frozenset({tuple(sorted(graph.nodes))})
+
+
+def test_ring_enumeration_scales_linearly():
+    # One loop per ring, so work should grow with V+E: 8x the nodes should
+    # cost about 8x the time. A per-anchor sweep costs about 64x.
+    small, large = _ring(500), _ring(4_000)
+    best = {500: float("inf"), 4_000: float("inf")}
+    for _ in range(3):
+        for size, graph in ((500, small), (4_000, large)):
+            start = time.perf_counter()
+            detect_closed_loops(graph)
+            best[size] = min(best[size], time.perf_counter() - start)
+    assert best[4_000] / best[500] < 24
+
+
+def test_report_orders_loops_by_length_then_nodes():
+    rng = random.Random(7)
+    for _ in range(30):
+        nodes, pairs = _random_digraph(rng, rng.randint(2, 9), 0.3)
+        graph = make_graph(nodes, pairs)
+        loops = [list(loop) for loop in detect_closed_loops(graph)]
+        expected = sorted(loops, key=lambda loop: (len(loop), loop))
+        assert analyze_graph_report(graph)["loops"] == expected
