@@ -25,9 +25,20 @@ class DriftReport:
     realignment: str | None = None
 
 
+REALIGNMENT_EXCERPT_CHARS = 120
+
+
 def generate_realignment(last_user_text: str) -> str:
-    """Directive suffix asking the counterpart to re-anchor before replying."""
-    return f"(please confirm first: '{last_user_text}')"
+    """Directive suffix asking the counterpart to re-anchor before replying.
+
+    Utterances longer than ``REALIGNMENT_EXCERPT_CHARS`` are quoted by their
+    first ``REALIGNMENT_EXCERPT_CHARS`` characters plus ``...``, so a reply
+    that echoes its directives cannot double in length every turn.
+    """
+    excerpt = last_user_text
+    if len(excerpt) > REALIGNMENT_EXCERPT_CHARS:
+        excerpt = excerpt[:REALIGNMENT_EXCERPT_CHARS] + "..."
+    return f"(please confirm first: '{excerpt}')"
 
 
 def detect_drift(

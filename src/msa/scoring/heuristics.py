@@ -13,18 +13,21 @@ does not claim to replicate human annotation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import EmptyContext
 from ..text import content_tokens
+from ..dialogue.commitments import DEFAULT_PATTERNS_COMMIT
 from ..dialogue.roles import DEFAULT_ROLE_POLICY
 from .rubric import SubScores
 
 if TYPE_CHECKING:
     from ..dialogue.transcript import Transcript
 
-HEURISTIC_COMMIT_PATTERNS = ("I will", "should", "will")
+HEURISTIC_COMMIT_PATTERNS = DEFAULT_PATTERNS_COMMIT
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,32 @@ class AnnotatedSubScores:
     confidence: dict[str, float] = field(default_factory=dict)
 
 
-def _has_any(text: str, markers: tuple[str, ...]) -> bool:
-    lowered = text.lower()
-    return any(marker in lowered for marker in markers)
+@lru_cache(maxsize=64)
+def _marker_regex(markers: tuple[str, ...]) -> re.Pattern[str]:
+    """One alternation matching any marker as a substring.
+
+    An empty alternation would match every text, so no markers compile to the
+    never-matching ``(?!)`` instead.
+    """
+    return re.compile("|".join(map(re.escape, markers)) or "(?!)")
 
 
-def _first_person(text: str) -> bool:
-    return "I" in text.split() or text.startswith("I ") or " I'" in text or text.startswith("I'")
+class _TurnFeatures(NamedTuple):
+    """Everything the sub-scores read from one turn."""
+
+    speaker: str
+    text: str
+    tokens: set[str]
+    short: bool  # fewer than three raw tokens
+    first_person: bool
+    casual: bool
+    blur: bool
+    attribution: bool
+    continuity: bool
+    transfer: bool
+    evasive: bool
+    mirror: bool
+    repair: bool
 
 
 def auto_annotate(
@@ -121,22 +143,35 @@ def auto_annotate(
 ) -> AnnotatedSubScores:
     """Lexical sub-score estimate with per-dimension confidence.
 
-    Advisory only. See the docstrings below each block for what each
-    sub-dimension actually measures here.
+    Advisory only. See the comments above each block for what each
+    sub-dimension actually measures here. Each turn is lowered, tokenized,
+    split and matched against every marker family once; the blocks read
+    those features only.
     """
     turns = transcript.turns
     if not turns:
         raise EmptyContext("annotation needs at least one turn")
     n = len(turns)
-    pairs = list(zip(turns, turns[1:]))
+    regexes = [_marker_regex(markers) for markers in (  # _TurnFeatures flag order
+        rules.casual, rules.blur, rules.attribution, rules.continuity,
+        rules.transfer, rules.evasive, rules.mirror, rules.repair)]
+    rows = []
+    for t in turns:
+        text, lowered, words = t.text, t.text.lower(), t.text.split()
+        first_person = ("I" in words or text.startswith("I ") or " I'" in text
+                        or text.startswith("I'"))
+        rows.append(_TurnFeatures(
+            t.speaker, text, content_tokens(text), len(words) < 3, first_person,
+            *[rx.search(lowered) is not None for rx in regexes]))
+    pairs = list(zip(rows, rows[1:]))
+    overlaps = [not a.tokens.isdisjoint(b.tokens) for a, b in pairs]
 
     # P1: style flips between casual and sober adjacent turns
-    styles = [_has_any(t.text, rules.casual) for t in turns]
-    flips = sum(1 for a, b in zip(styles, styles[1:]) if a != b)
+    flips = sum(1 for a, b in pairs if a.casual != b.casual)
     p1 = 2 if flips == 0 else 1 if flips == 1 else 0
 
     # P2: stability of policy-inferred pragmatic roles
-    inferred = [DEFAULT_ROLE_POLICY.classify(t.text) for t in turns]
+    inferred = [DEFAULT_ROLE_POLICY.classify(r.text) for r in rows]
     if n == 1:
         p2 = 2
     else:
@@ -146,45 +181,40 @@ def auto_annotate(
     # P3: fragment share; a fragment is under three raw tokens or lacks
     # terminal punctuation
     fragments = sum(
-        1
-        for t in turns
-        if len(t.text.split()) < 3 or t.text.rstrip()[-1:] not in (".", "?", "!", "…")
+        1 for r in rows if r.short or r.text.rstrip()[-1:] not in (".", "?", "!", "…")
     )
     frag_ratio = fragments / n
     p3 = 2 if fragments == 0 else 1 if frag_ratio <= 0.25 else 0
 
     # P4: register-blurring markers
-    blur_turns = sum(1 for t in turns if _has_any(t.text, rules.blur))
+    blur_turns = sum(1 for r in rows if r.blur)
     p4 = 3 if blur_turns == 0 else 2 if blur_turns == 1 else 1 if blur_turns == 2 else 0
 
     # R1: first or second person attribution
-    attributing = sum(
-        1 for t in turns if _first_person(t.text) or _has_any(t.text, rules.attribution)
-    )
+    attributing = sum(1 for r in rows if r.first_person or r.attribution)
     r1 = 2 if attributing >= 3 else 1 if attributing >= 1 else 0
 
     # R2: explicit continuity markers, or reuse of one's own earlier content
-    marker_r2 = sum(1 for t in turns if _has_any(t.text, rules.continuity))
+    marker_r2 = sum(1 for r in rows if r.continuity)
     marker_score = 2 if marker_r2 >= 2 else 1 if marker_r2 == 1 else 0
     reuse_hits = 0
     reuse_total = 0
-    seen_by_speaker: dict[str, set[str]] = {}
-    for t in turns:
-        tokens = content_tokens(t.text)
-        if t.speaker in seen_by_speaker:
+    vocab_by_speaker: dict[str, set[str]] = {}
+    for r in rows:
+        if r.speaker in vocab_by_speaker:
             reuse_total += 1
-            if tokens & seen_by_speaker[t.speaker]:
+            if not r.tokens.isdisjoint(vocab_by_speaker[r.speaker]):
                 reuse_hits += 1
-            seen_by_speaker[t.speaker] |= tokens
+            vocab_by_speaker[r.speaker] |= r.tokens
         else:
-            seen_by_speaker[t.speaker] = set(tokens)
+            vocab_by_speaker[r.speaker] = set(r.tokens)
     reuse_frac = reuse_hits / reuse_total if reuse_total else 0.0
     reuse_score = 2 if reuse_frac >= 0.6 else 1 if reuse_frac >= 0.3 else 0
     r2 = max(marker_score, reuse_score)
 
     # R3: explicit handoff phrasing beats silence; repeated evasion scores zero
-    evasive_turns = sum(1 for t in turns if _has_any(t.text, rules.evasive))
-    if any(_has_any(t.text, rules.transfer) for t in turns):
+    evasive_turns = sum(1 for r in rows if r.evasive)
+    if any(r.transfer for r in rows):
         r3 = 2
     elif evasive_turns >= 2:
         r3 = 0
@@ -192,15 +222,14 @@ def auto_annotate(
         r3 = 1
 
     # R4: how the dialogue ends
-    final = turns[-1]
-    final_tokens = len(final.text.split())
-    if final_tokens < 3:
+    final = rows[-1]
+    if final.short:
         r4 = 0
-    elif _has_any(final.text, rules.evasive) or _has_any(final.text, rules.blur):
+    elif final.evasive or final.blur:
         r4 = 1
     elif "?" in final.text:
         r4 = 1
-    elif _first_person(final.text):
+    elif final.first_person:
         r4 = 3
     else:
         r4 = 2
@@ -210,36 +239,28 @@ def auto_annotate(
         c1 = 2
         overlap_frac = 1.0
     else:
-        overlapping = sum(
-            1 for a, b in pairs if content_tokens(a.text) & content_tokens(b.text)
-        )
-        overlap_frac = overlapping / len(pairs)
+        overlap_frac = sum(overlaps) / len(pairs)
         c1 = 2 if overlap_frac >= 0.6 else 1 if overlap_frac >= 0.3 else 0
 
     # C2: mirroring markers or echo of the other side's previous turn
-    marker_c2 = sum(1 for t in turns if _has_any(t.text, rules.mirror))
+    marker_c2 = sum(1 for r in rows if r.mirror)
     marker_score = 2 if marker_c2 >= 2 else 1 if marker_c2 == 1 else 0
     echo_hits = sum(
-        1
-        for a, b in pairs
-        if a.speaker != b.speaker and content_tokens(a.text) & content_tokens(b.text)
+        1 for (a, b), overlap in zip(pairs, overlaps) if overlap and a.speaker != b.speaker
     )
     echo_frac = echo_hits / len(pairs) if pairs else 0.0
     echo_score = 2 if echo_frac >= 0.5 else 1 if echo_frac >= 0.25 else 0
     c2 = max(marker_score, echo_score)
 
     # C3: repair when drifting, quiet stability otherwise
-    if any(_has_any(t.text, rules.repair) for t in turns):
+    if any(r.repair for r in rows):
         c3 = 2
     elif overlap_frac >= 0.3:
         c3 = 1
     else:
         c3 = 0
 
-    # C4: shared content vocabulary across speakers
-    vocab_by_speaker: dict[str, set[str]] = {}
-    for t in turns:
-        vocab_by_speaker.setdefault(t.speaker, set()).update(content_tokens(t.text))
+    # C4: shared content vocabulary across speakers (R2's per-speaker unions)
     if len(vocab_by_speaker) < 2:
         c4 = 0
     else:

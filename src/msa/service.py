@@ -100,8 +100,13 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"code": code, "message": message})
 
     def _read_body(self) -> object:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True  # the body's end is unknown, so no request can follow
+            raise InvalidRequest(f"Content-Length must be a non-negative integer: {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body must not parse as the next request
             raise InvalidRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:

@@ -14,8 +14,18 @@ import urllib.error
 import urllib.request
 from contextlib import contextmanager
 
+from msa.dialogue.roles import DEFAULT_ROLE_POLICY
 from msa.dialogue.transcript import DialogueTurn, Transcript
+from msa.errors import EmptyContext
 from msa.msl.graph import ResponsibilityEdge, ResponsibilityGraph
+from msa.scoring.heuristics import (
+    CONFIDENCE,
+    DEFAULT_RUBRIC_RULES,
+    AnnotatedSubScores,
+    RubricRuleSet,
+)
+from msa.scoring.rubric import SubScores
+from msa.text import content_tokens
 
 
 def brute_force_loops(graph: ResponsibilityGraph) -> set[tuple[str, ...]]:
@@ -53,6 +63,143 @@ def brute_force_drift(graph: ResponsibilityGraph) -> set[str]:
     """Nodes that never appear as an edge source."""
     sources = {e.source for e in graph.edges}
     return {n for n in graph.nodes if n not in sources}
+
+
+def _has_any(text: str, markers: tuple[str, ...]) -> bool:
+    lowered = text.lower()
+    return any(marker in lowered for marker in markers)
+
+
+def _first_person(text: str) -> bool:
+    return "I" in text.split() or text.startswith("I ") or " I'" in text or text.startswith("I'")
+
+
+def reference_auto_annotate(
+    transcript: Transcript, rules: RubricRuleSet = DEFAULT_RUBRIC_RULES
+) -> AnnotatedSubScores:
+    """The advisory annotator as first written: every block rescans every turn.
+
+    Each sub-dimension re-lowers, re-tokenizes and re-matches the turns it
+    reads, so it shares no per-turn state with ``auto_annotate``.
+    """
+    turns = transcript.turns
+    if not turns:
+        raise EmptyContext("annotation needs at least one turn")
+    n = len(turns)
+    pairs = list(zip(turns, turns[1:]))
+
+    styles = [_has_any(t.text, rules.casual) for t in turns]
+    flips = sum(1 for a, b in zip(styles, styles[1:]) if a != b)
+    p1 = 2 if flips == 0 else 1 if flips == 1 else 0
+
+    inferred = [DEFAULT_ROLE_POLICY.classify(t.text) for t in turns]
+    if n == 1:
+        p2 = 2
+    else:
+        shift_frac = sum(1 for a, b in zip(inferred, inferred[1:]) if a != b) / (n - 1)
+        p2 = 2 if shift_frac <= 1 / 3 else 1 if shift_frac <= 2 / 3 else 0
+
+    fragments = sum(
+        1
+        for t in turns
+        if len(t.text.split()) < 3 or t.text.rstrip()[-1:] not in (".", "?", "!", "…")
+    )
+    frag_ratio = fragments / n
+    p3 = 2 if fragments == 0 else 1 if frag_ratio <= 0.25 else 0
+
+    blur_turns = sum(1 for t in turns if _has_any(t.text, rules.blur))
+    p4 = 3 if blur_turns == 0 else 2 if blur_turns == 1 else 1 if blur_turns == 2 else 0
+
+    attributing = sum(
+        1 for t in turns if _first_person(t.text) or _has_any(t.text, rules.attribution)
+    )
+    r1 = 2 if attributing >= 3 else 1 if attributing >= 1 else 0
+
+    marker_r2 = sum(1 for t in turns if _has_any(t.text, rules.continuity))
+    marker_score = 2 if marker_r2 >= 2 else 1 if marker_r2 == 1 else 0
+    reuse_hits = 0
+    reuse_total = 0
+    seen_by_speaker: dict[str, set[str]] = {}
+    for t in turns:
+        tokens = content_tokens(t.text)
+        if t.speaker in seen_by_speaker:
+            reuse_total += 1
+            if tokens & seen_by_speaker[t.speaker]:
+                reuse_hits += 1
+            seen_by_speaker[t.speaker] |= tokens
+        else:
+            seen_by_speaker[t.speaker] = set(tokens)
+    reuse_frac = reuse_hits / reuse_total if reuse_total else 0.0
+    reuse_score = 2 if reuse_frac >= 0.6 else 1 if reuse_frac >= 0.3 else 0
+    r2 = max(marker_score, reuse_score)
+
+    evasive_turns = sum(1 for t in turns if _has_any(t.text, rules.evasive))
+    if any(_has_any(t.text, rules.transfer) for t in turns):
+        r3 = 2
+    elif evasive_turns >= 2:
+        r3 = 0
+    else:
+        r3 = 1
+
+    final = turns[-1]
+    final_tokens = len(final.text.split())
+    if final_tokens < 3:
+        r4 = 0
+    elif _has_any(final.text, rules.evasive) or _has_any(final.text, rules.blur):
+        r4 = 1
+    elif "?" in final.text:
+        r4 = 1
+    elif _first_person(final.text):
+        r4 = 3
+    else:
+        r4 = 2
+
+    if not pairs:
+        c1 = 2
+        overlap_frac = 1.0
+    else:
+        overlapping = sum(
+            1 for a, b in pairs if content_tokens(a.text) & content_tokens(b.text)
+        )
+        overlap_frac = overlapping / len(pairs)
+        c1 = 2 if overlap_frac >= 0.6 else 1 if overlap_frac >= 0.3 else 0
+
+    marker_c2 = sum(1 for t in turns if _has_any(t.text, rules.mirror))
+    marker_score = 2 if marker_c2 >= 2 else 1 if marker_c2 == 1 else 0
+    echo_hits = sum(
+        1
+        for a, b in pairs
+        if a.speaker != b.speaker and content_tokens(a.text) & content_tokens(b.text)
+    )
+    echo_frac = echo_hits / len(pairs) if pairs else 0.0
+    echo_score = 2 if echo_frac >= 0.5 else 1 if echo_frac >= 0.25 else 0
+    c2 = max(marker_score, echo_score)
+
+    if any(_has_any(t.text, rules.repair) for t in turns):
+        c3 = 2
+    elif overlap_frac >= 0.3:
+        c3 = 1
+    else:
+        c3 = 0
+
+    vocab_by_speaker: dict[str, set[str]] = {}
+    for t in turns:
+        vocab_by_speaker.setdefault(t.speaker, set()).update(content_tokens(t.text))
+    if len(vocab_by_speaker) < 2:
+        c4 = 0
+    else:
+        vocabularies = list(vocab_by_speaker.values())
+        shared = set.intersection(*vocabularies)
+        union = set.union(*vocabularies)
+        jaccard = len(shared) / len(union) if union else 0.0
+        c4 = 3 if jaccard >= 0.12 else 2 if jaccard >= 0.06 else 1 if jaccard >= 0.02 else 0
+
+    sub = SubScores(
+        pragmatic=(p1, p2, p3, p4),
+        responsibility=(r1, r2, r3, r4),
+        context=(c1, c2, c3, c4),
+    )
+    return AnnotatedSubScores(subscores=sub, confidence=dict(CONFIDENCE))
 
 
 def make_graph(nodes: list[str], pairs: list[tuple[str, str]]) -> ResponsibilityGraph:

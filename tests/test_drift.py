@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from msa.dialogue.drift import DEFAULT_DRIFT_THRESHOLD, detect_drift, generate_realignment
+from msa.dialogue.drift import (
+    DEFAULT_DRIFT_THRESHOLD,
+    REALIGNMENT_EXCERPT_CHARS,
+    detect_drift,
+    generate_realignment,
+)
 from msa.errors import EmptyUtterance
 
 WORDS = st.lists(
@@ -77,6 +82,12 @@ def test_custom_threshold():
 
 def test_realignment_quotes_text_verbatim():
     assert generate_realignment("why's that?") == "(please confirm first: 'why's that?')"
+
+
+def test_realignment_quotes_a_bounded_excerpt():
+    edge = "x" * REALIGNMENT_EXCERPT_CHARS
+    assert generate_realignment(edge) == f"(please confirm first: '{edge}')"
+    assert generate_realignment(edge + "yz") == f"(please confirm first: '{edge}...')"
 
 
 @given(WORDS, WORDS)

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import fields
+
 import pytest
 
 from msa.errors import EmptyContext
 from msa.fixtures import load_fixture
-from msa.scoring.heuristics import auto_annotate, heuristic_score
-from helpers import make_transcript
+from msa.msl.rules import OpCounter
+from msa.scoring import heuristics
+from msa.scoring.heuristics import (
+    DEFAULT_RUBRIC_RULES,
+    RubricRuleSet,
+    auto_annotate,
+    heuristic_score,
+)
+from helpers import make_transcript, reference_auto_annotate
 
 
 def dialog(*rows):
@@ -133,3 +143,93 @@ def test_annotate_outputs_valid_subscores():
 def test_annotate_empty_rejected():
     with pytest.raises(EmptyContext):
         auto_annotate(dialog())
+
+
+# --- advisory annotator against the rescan-every-block oracle ---
+
+MARKER_PHRASES = sorted(
+    {m for f in fields(RubricRuleSet) for m in getattr(DEFAULT_RUBRIC_RULES, f.name)}
+)
+FILLER = ("budget", "plan", "the deadline", "I", "we", "ok", "review", "tomorrow", "?", ".")
+CUSTOM_RULES = RubricRuleSet(
+    casual=("a.b", "(x)"),
+    blur=("plan?", "LOL"),  # upper case never matches the lowered text
+    attribution=("i",),
+    continuity=("budget",),
+    transfer=("[over]",),
+    evasive=("*", "wait,"),
+    mirror=("review", "a|b"),
+    repair=("\\",),
+)
+EMPTY_FAMILIES = RubricRuleSet(casual=(), blur=(), transfer=(), repair=())
+
+
+def _random_turn(rng: random.Random, alphabet: tuple[str, ...]) -> str:
+    words = [rng.choice(alphabet) for _ in range(rng.randint(1, 7))]
+    text = " ".join(w.upper() if rng.random() < 0.1 else w for w in words)
+    return text + rng.choice(("", ".", "!", "?", "…", " "))
+
+
+def _assert_matches_oracle(rows, rules=DEFAULT_RUBRIC_RULES):
+    for k in range(1, len(rows) + 1):
+        prefix = dialog(*rows[:k])
+        assert auto_annotate(prefix, rules) == reference_auto_annotate(prefix, rules), rows[:k]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rules", [DEFAULT_RUBRIC_RULES, CUSTOM_RULES, EMPTY_FAMILIES],
+                         ids=["default", "custom", "empty-families"])
+def test_annotate_matches_oracle_on_every_prefix(seed, rules):
+    rng = random.Random(seed)
+    alphabet = tuple(MARKER_PHRASES) + FILLER + ("a.b", "(x)", "[over]", "*", "a|b", "\\")
+    for _ in range(60):
+        speakers = rng.sample(("a", "b", "c"), rng.randint(1, 3))
+        rows = [(rng.choice(speakers), _random_turn(rng, alphabet), "user")
+                for _ in range(rng.randint(1, 10))]
+        _assert_matches_oracle(rows, rules)
+
+
+def test_annotate_single_turn_matches_oracle():
+    _assert_matches_oracle([("a", "I will review the budget tomorrow.", "user")])
+    _assert_matches_oracle([("a", "lol", "user")])
+
+
+def test_annotate_single_speaker_matches_oracle():
+    rows = [("a", "I still think the budget is fine.", "user"),
+            ("a", "as I said, the budget is fine, kinda", "user"),
+            ("a", "over to you", "user")]
+    _assert_matches_oracle(rows)
+    assert auto_annotate(dialog(*rows)).subscores.context[3] == 0
+
+
+def test_annotate_custom_rules_escape_regex_metacharacters():
+    rows = [("a", "see a.b and (x) here.", "user"), ("b", "axb and x only.", "assistant")]
+    out = auto_annotate(dialog(*rows), CUSTOM_RULES)
+    assert out == reference_auto_annotate(dialog(*rows), CUSTOM_RULES)
+    assert out.subscores.pragmatic[0] == 1  # casual, then sober: one style flip
+
+
+def test_annotate_empty_marker_family_never_hits():
+    rows = [("a", "lol kinda whatever, over to you", "user"),
+            ("b", "we're off topic, i guess", "assistant")]
+    out = auto_annotate(dialog(*rows), EMPTY_FAMILIES)
+    assert out == reference_auto_annotate(dialog(*rows), EMPTY_FAMILIES)
+    assert out.subscores.pragmatic[3] == 3  # no blur hits
+    assert out.subscores.responsibility[2] != 2  # no transfer hits
+    assert out.subscores.context[2] != 2  # no repair hits
+
+
+@pytest.mark.parametrize("n_turns", [6, 600])
+def test_annotate_tokenizes_each_turn_once(monkeypatch, n_turns):
+    counter = OpCounter()
+    tokenize = heuristics.content_tokens
+
+    def counting(text, *args, **kwargs):
+        counter.bump()
+        return tokenize(text, *args, **kwargs)
+
+    monkeypatch.setattr(heuristics, "content_tokens", counting)
+    rows = [("ab"[i % 2], f"turn {i} keeps the budget review going.", "user")
+            for i in range(n_turns)]
+    auto_annotate(dialog(*rows))
+    assert counter.count == n_turns

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import sys
 import urllib.error
@@ -12,6 +13,7 @@ import pytest
 
 from msa.dialogue.llm import StubLlmClient
 from msa.errors import LlmTimeout, LlmUnavailable
+from msa.service import MAX_BODY_BYTES
 from helpers import get_json, post_json, running_server
 
 SAMPLE_BODY = {
@@ -102,6 +104,23 @@ def test_non_json_body_is_400():
             status, body = err.code, json.loads(err.read())
     assert status == 400
     assert body["code"] == "MalformedJson"
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", str(MAX_BODY_BYTES + 1)],
+                         ids=["non-numeric", "negative", "oversize"])
+def test_bad_content_length_is_400(length):
+    with running_server() as port:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /annotate HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}".encode("ascii")
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after a bad length
+                reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"400"
+    assert json.loads(body)["code"] == "InvalidRequest"
 
 
 def test_unknown_path_is_404():

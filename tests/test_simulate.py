@@ -113,3 +113,26 @@ def test_directive_profiles_reach_the_stub():
     by_speaker = {t.speaker: t.text for t in transcript.turns[1:]}
     assert "[TONE=HIGHASSERT]" in by_speaker["speaker_B"]
     assert "[TONE=NEUTRAL]" in by_speaker["speaker_A"]
+
+
+class _GrowthGuard:
+    """Stub client that fails as soon as one reply outgrows the turn before it."""
+
+    def __init__(self, max_growth: int) -> None:
+        self.max_growth = max_growth
+
+    def generate(self, directives, context):
+        reply = STUB.generate(directives, context)
+        growth = len(reply) - len(context.turns[-1].text)
+        assert growth <= self.max_growth, f"turn {len(context.turns)} grew by {growth} chars"
+        return reply
+
+
+def test_long_stub_simulation_grows_linearly():
+    task = MultiSpeakerTask.from_obj({
+        "speaker_A": {"tone": "NEUTRAL"},
+        "speaker_B": {"tone": "HIGHASSERT"},
+        "task": "Simulate a debate on remote work.",
+    })
+    transcript = simulate(task, _GrowthGuard(max_growth=400), turns=200, seed=0)
+    assert len(transcript.turns) == 201
