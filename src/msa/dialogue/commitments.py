@@ -104,19 +104,12 @@ DEFAULT_PATTERNS_TRANSFER = ("I'll leave that to",)
 class PatternSet:
     commitment: tuple[str, ...] = DEFAULT_PATTERNS_COMMIT
     transfer: tuple[str, ...] = DEFAULT_PATTERNS_TRANSFER
-    case_sensitive: bool = True
-
-    def _hit(self, patterns: tuple[str, ...], text: str) -> bool:
-        if self.case_sensitive:
-            return any(pat in text for pat in patterns)
-        lowered = text.lower()
-        return any(pat.lower() in lowered for pat in patterns)
 
     def matches_commitment(self, text: str) -> bool:
-        return self._hit(self.commitment, text)
+        return any(pat in text for pat in self.commitment)
 
     def matches_transfer(self, text: str) -> bool:
-        return self._hit(self.transfer, text)
+        return any(pat in text for pat in self.transfer)
 
 
 DEFAULT_PATTERNS = PatternSet()
@@ -124,7 +117,7 @@ DEFAULT_PATTERNS = PatternSet()
 
 @dataclass(frozen=True)
 class ChainState:
-    """Ordered commitments plus the responsibility graph they induce.
+    """Ordered commitments, from which the responsibility graph is derived.
 
     ``last_index`` makes ingestion idempotent: a turn at an index the state
     has already consumed is skipped, so replaying a transcript is a no-op.
@@ -132,12 +125,32 @@ class ChainState:
     """
 
     commitments: tuple[Commitment, ...] = ()
-    graph: ResponsibilityGraph = ResponsibilityGraph()
     last_speaker: str | None = None
     last_index: int = -1
 
-    def live(self) -> tuple[Commitment, ...]:
-        return tuple(c for c in self.commitments if c.is_live)
+    @property
+    def graph(self) -> ResponsibilityGraph:
+        """One edge ``holder -> transferred_to`` per transferred commitment.
+
+        Each edge carries the transfer turn as its utterance index and the
+        commitment id as its label; edges run in transfer order, and the
+        nodes are the edges' endpoints. One pass plus a sort: O(n log n).
+        """
+        edges = sorted(
+            (
+                ResponsibilityEdge(
+                    source=c.holder,
+                    target=c.transferred_to,
+                    utterance_index=c.history[-1].turn_index,
+                    label=c.id,
+                )
+                for c in self.commitments
+                if c.status is CommitmentStatus.TRANSFERRED
+            ),
+            key=lambda edge: edge.utterance_index,
+        )
+        nodes = {edge.source for edge in edges} | {edge.target for edge in edges}
+        return ResponsibilityGraph(nodes=frozenset(nodes), edges=tuple(edges))
 
 
 def update_commitments(
@@ -146,16 +159,14 @@ def update_commitments(
     """Fold one turn into the chain state; returns a new state.
 
     A transfer phrase moves the speaker's most recent live commitment to the
-    previous distinct speaker (or retains it reflexively when there is none)
-    and appends the matching graph edge. Otherwise a commitment phrase adds
-    one active commitment, de-duplicated by stripped text across the whole
-    chain, at most one per turn.
+    previous distinct speaker (or retains it reflexively when there is none).
+    Otherwise a commitment phrase adds one active commitment, de-duplicated by
+    stripped text across the whole chain, at most one per turn.
     """
     if turn.index <= state.last_index:
         return state
 
     commitments = list(state.commitments)
-    graph = state.graph
 
     if patterns.matches_transfer(turn.text):
         for pos in range(len(commitments) - 1, -1, -1):
@@ -166,15 +177,6 @@ def update_commitments(
                     target = turn.speaker
                 commitments[pos] = candidate.transition(
                     CommitmentStatus.TRANSFERRED, turn.index, target=target
-                )
-                graph = graph.with_transfer(
-                    ResponsibilityEdge(
-                        source=turn.speaker,
-                        target=target,
-                        utterance_index=turn.index,
-                        label=candidate.id,
-                    ),
-                    auto_register=True,
                 )
                 break
     elif patterns.matches_commitment(turn.text):
@@ -193,7 +195,6 @@ def update_commitments(
 
     return ChainState(
         commitments=tuple(commitments),
-        graph=graph,
         last_speaker=turn.speaker,
         last_index=turn.index,
     )

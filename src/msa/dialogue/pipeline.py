@@ -11,33 +11,25 @@ Order of operations, fixed:
 6. fold the reply into the commitment chain
 7. score the extended dialogue with the heuristic triple
 
+Every stage runs with its module defaults: the bundled inference rules, the
+default role policy and commitment patterns, and the default drift threshold.
 Deterministic end to end with the stub client: same context, same previous
-tags, same config give byte-identical directives, reply, and scores.
+tags, same speaker give byte-identical directives, reply, and scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import EmptyContext
-from ..gcode.inference import InferenceRule, infer_tags
+from ..gcode.inference import infer_tags
 from ..gcode.tags import SpeakerModuleConfig, build_prompt_directives
 from ..scoring.heuristics import HeuristicScores, heuristic_score
-from .commitments import ChainState, DEFAULT_PATTERNS, PatternSet, replay, update_commitments
-from .drift import DEFAULT_DRIFT_THRESHOLD, DriftReport, detect_drift
+from .commitments import ChainState, replay, update_commitments
+from .drift import DriftReport, detect_drift
 from .llm import LlmClient
-from .roles import DEFAULT_ROLE_POLICY, RolePolicy, assign_role
+from .roles import assign_role
 from .transcript import DialogueTurn, Transcript
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    drift_threshold: float = DEFAULT_DRIFT_THRESHOLD
-    raw_drift_tokens: bool = False
-    role_policy: RolePolicy = DEFAULT_ROLE_POLICY
-    patterns: PatternSet = DEFAULT_PATTERNS
-    inference_rules: tuple[InferenceRule, ...] | None = None
-    reply_speaker: str | None = None  # defaults to the assigned turn role
 
 
 @dataclass(frozen=True)
@@ -57,42 +49,41 @@ def run_pipeline(
     context: Transcript,
     prev_tags: SpeakerModuleConfig,
     llm: LlmClient,
-    config: PipelineConfig = PipelineConfig(),
+    speaker: str | None = None,
 ) -> PipelineResult:
     """Produce one reply turn and the bookkeeping around it.
 
-    Raises EmptyContext for an empty context; client errors propagate after
-    the client's own retry policy is exhausted.
+    The reply is credited to ``speaker``, or to its assigned turn role when
+    no speaker is named. Raises EmptyContext for an empty context; client
+    errors propagate after the client's own retry policy is exhausted.
     """
     if not context.turns:
         raise EmptyContext("pipeline needs at least one turn of context")
 
-    tags = infer_tags(context, prev_tags, config.inference_rules)
+    tags = infer_tags(context, prev_tags)
     directives = build_prompt_directives(tags)
 
-    turn_role, function_role = assign_role(context, config.role_policy)
-    chain = replay(context, config.patterns)
+    turn_role, function_role = assign_role(context)
+    chain = replay(context)
 
     drift = None
     if len(context.turns) >= 2:
         drift = detect_drift(
             context.turns[-2].text,
             context.turns[-1].text,
-            config.drift_threshold,
             turn_index=context.turns[-1].index,
-            raw_tokens=config.raw_drift_tokens,
         )
         if drift.drifted and drift.realignment:
             directives = f"{directives} {drift.realignment}" if directives else drift.realignment
 
     reply_text = llm.generate(directives, context)
     reply = DialogueTurn(
-        speaker=config.reply_speaker or turn_role,
+        speaker=speaker or turn_role,
         text=reply_text,
         turn_role=turn_role,
         function_role=function_role,
         index=context.next_index,
     )
-    chain = update_commitments(chain, reply, config.patterns)
+    chain = update_commitments(chain, reply)
     scores = heuristic_score(context.with_turn(reply))
     return PipelineResult(reply=reply, directives=directives, chain=chain, drift=drift, scores=scores)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from .commitments import DEFAULT_PATTERNS_TRANSFER
 from .transcript import PragmaticRole
 
 if TYPE_CHECKING:
@@ -48,7 +49,7 @@ DEFAULT_ROLE_POLICY = RolePolicy(
         ),
         RoleRule(
             kind="contains_phrase",
-            args=("you should", "you must", "you need to", "I'll leave that to", "please "),
+            args=("you should", "you must", "you need to", *DEFAULT_PATTERNS_TRANSFER, "please "),
             role=PragmaticRole.RESPONSIBILITY_DELEGATOR,
         ),
     ),

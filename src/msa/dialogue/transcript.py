@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..errors import InvalidRequest, MalformedJson
 
@@ -98,10 +98,6 @@ class Transcript:
         return len(self.turns)
 
     @property
-    def last(self) -> DialogueTurn | None:
-        return self.turns[-1] if self.turns else None
-
-    @property
     def next_index(self) -> int:
         return self.turns[-1].index + 1 if self.turns else 0
 
@@ -115,16 +111,6 @@ class Transcript:
         return cls(
             turns=tuple(DialogueTurn.from_dict(row) for row in rows),
             metadata=dict(metadata or {}),
-        )
-
-    @classmethod
-    def from_texts(cls, rows: Sequence[tuple[str, str, str]]) -> "Transcript":
-        """Convenience builder from (speaker, text, turn_role) triples."""
-        return cls(
-            turns=tuple(
-                DialogueTurn(speaker=s, text=t, turn_role=r, index=i)
-                for i, (s, t, r) in enumerate(rows)
-            )
         )
 
 

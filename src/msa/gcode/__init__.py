@@ -14,7 +14,6 @@ from .tags import (
     build_prompt_directives,
     config_from_keyed_object,
     parse_config_document,
-    parse_config_object,
     parse_tag,
     parse_tag_list,
     speaker_module_from_obj,
@@ -36,7 +35,6 @@ __all__ = [
     "load_inference_rules",
     "load_registry",
     "parse_config_document",
-    "parse_config_object",
     "parse_tag",
     "parse_tag_list",
     "speaker_module_from_obj",

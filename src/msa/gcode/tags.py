@@ -45,7 +45,6 @@ class SpeakerModuleConfig:
     """
 
     tags: tuple[GCodeTag, ...] = ()
-    speaker_id: str | None = None
 
     def __post_init__(self) -> None:
         seen: set[Dimension] = set()
@@ -65,14 +64,7 @@ class SpeakerModuleConfig:
     def with_tag(self, tag: GCodeTag) -> "SpeakerModuleConfig":
         """Copy with ``tag`` set, overriding any prior value for its dimension."""
         kept = tuple(t for t in self.tags if t.dimension is not tag.dimension)
-        return SpeakerModuleConfig(tags=kept + (tag,), speaker_id=self.speaker_id)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.tags
-
-    def to_tag_list(self) -> list[str]:
-        return [tag.surface for tag in self.tags]
+        return SpeakerModuleConfig(tags=kept + (tag,))
 
     def to_keyed_object(self) -> dict[str, str]:
         return {tag.dimension.key: tag.value for tag in self.tags}
@@ -150,22 +142,6 @@ def config_from_keyed_object(
             raise UnknownValue(f"{key}: {raw_value!r} is not registered for {dimension.name}")
         tags.append(GCodeTag(dimension=dimension, value=value))
     return SpeakerModuleConfig(tags=tuple(tags))
-
-
-def parse_config_object(json_text: str, registry: TagRegistry | None = None) -> SpeakerModuleConfig:
-    """Parse the keyed-object JSON form from raw text.
-
-    Raises MalformedJson when the text is not a JSON object, UnknownKey for
-    keys outside the six dimension keys, and UnknownValue for unregistered
-    values.
-    """
-    try:
-        obj = json.loads(json_text)
-    except ValueError as exc:
-        raise MalformedJson(str(exc)) from exc
-    if not isinstance(obj, dict):
-        raise MalformedJson(f"expected a JSON object, got {type(obj).__name__}")
-    return config_from_keyed_object(obj, registry)
 
 
 def speaker_module_from_obj(

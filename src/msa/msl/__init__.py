@@ -7,11 +7,9 @@ from .cycles import (
     is_closed_loop,
 )
 from .graph import (
-    GraphBuilder,
     ResponsibilityEdge,
     ResponsibilityGraph,
     SpeakerId,
-    add_transfer,
     detect_partial_drift,
     transitive_closure,
 )
@@ -26,13 +24,11 @@ from .rules import (
 __all__ = [
     "EXHAUSTIVE_NODE_LIMIT",
     "ContextRule",
-    "GraphBuilder",
     "OpCounter",
     "ResponsibilityEdge",
     "ResponsibilityGraph",
     "RuleFinding",
     "SpeakerId",
-    "add_transfer",
     "check_context_constraints",
     "cyclic_components",
     "detect_closed_loops",

@@ -2,9 +2,7 @@
 
 Nodes are speaker ids, edges are individual transfer events. The edge list is
 an insertion-ordered multiset: parallel edges and self-edges are both legal
-and preserved. Graphs are values; mutation returns a new graph. For long
-tracking runs the single-writer GraphBuilder appends in amortized constant
-time so that ingesting n utterances costs O(n) total.
+and preserved. Graphs are immutable values, built whole in one pass.
 """
 
 from __future__ import annotations
@@ -67,26 +65,6 @@ class ResponsibilityGraph:
     nodes: frozenset[SpeakerId] = frozenset()
     edges: tuple[ResponsibilityEdge, ...] = ()
 
-    def with_node(self, speaker: SpeakerId) -> "ResponsibilityGraph":
-        _check_speaker(speaker)
-        return ResponsibilityGraph(nodes=self.nodes | {speaker}, edges=self.edges)
-
-    def with_transfer(
-        self, edge: ResponsibilityEdge, auto_register: bool = False
-    ) -> "ResponsibilityGraph":
-        """New graph with ``edge`` appended.
-
-        Unknown endpoints raise UnknownSpeaker unless ``auto_register`` is on,
-        in which case they are added as nodes first.
-        """
-        nodes = self.nodes
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in nodes:
-                if not auto_register:
-                    raise UnknownSpeaker(f"{endpoint!r} is not a registered speaker")
-                nodes = nodes | {endpoint}
-        return ResponsibilityGraph(nodes=nodes, edges=self.edges + (edge,))
-
     def out_degree(self) -> dict[SpeakerId, int]:
         degree = {node: 0 for node in self.nodes}
         for edge in self.edges:
@@ -123,49 +101,6 @@ class ResponsibilityGraph:
                     raise UnknownSpeaker(f"edge endpoint {endpoint!r} missing from nodes")
             edges.append(edge)
         return cls(nodes=nodes, edges=tuple(edges))
-
-
-def add_transfer(
-    graph: ResponsibilityGraph, edge: ResponsibilityEdge, auto_register: bool = False
-) -> ResponsibilityGraph:
-    """Functional append; copies the edge tuple, so it is O(V+E) per call.
-
-    Use GraphBuilder for the linear-time tracking path.
-    """
-    return graph.with_transfer(edge, auto_register=auto_register)
-
-
-class GraphBuilder:
-    """Single-writer accumulator with amortized O(1) appends.
-
-    ``ops`` counts the elementary membership checks, node inserts, and edge
-    appends performed, so callers can verify the linear total-work bound.
-    """
-
-    def __init__(self, auto_register: bool = True) -> None:
-        self._nodes: set[SpeakerId] = set()
-        self._edges: list[ResponsibilityEdge] = []
-        self._auto_register = auto_register
-        self.ops = 0
-
-    def add_node(self, speaker: SpeakerId) -> None:
-        _check_speaker(speaker)
-        self.ops += 1
-        self._nodes.add(speaker)
-
-    def add_transfer(self, edge: ResponsibilityEdge) -> None:
-        for endpoint in (edge.source, edge.target):
-            self.ops += 1  # membership check
-            if endpoint not in self._nodes:
-                if not self._auto_register:
-                    raise UnknownSpeaker(f"{endpoint!r} is not a registered speaker")
-                self.ops += 1  # node insert
-                self._nodes.add(endpoint)
-        self.ops += 1  # edge append
-        self._edges.append(edge)
-
-    def build(self) -> ResponsibilityGraph:
-        return ResponsibilityGraph(nodes=frozenset(self._nodes), edges=tuple(self._edges))
 
 
 def detect_partial_drift(graph: ResponsibilityGraph) -> frozenset[SpeakerId]:

@@ -3,7 +3,6 @@
 from .heuristics import (
     AnnotatedSubScores,
     DEFAULT_RUBRIC_RULES,
-    HEURISTIC_COMMIT_PATTERNS,
     HeuristicScores,
     RubricRuleSet,
     auto_annotate,
@@ -32,7 +31,6 @@ __all__ = [
     "AnnotatedSubScores",
     "DEFAULT_RUBRIC_RULES",
     "GroupStats",
-    "HEURISTIC_COMMIT_PATTERNS",
     "HeuristicScores",
     "METRIC_KEYS",
     "RubricRuleSet",

@@ -20,14 +20,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import EmptyContext
 from ..text import content_tokens
-from ..dialogue.commitments import DEFAULT_PATTERNS_COMMIT
+from ..dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
 from ..dialogue.roles import DEFAULT_ROLE_POLICY
 from .rubric import SubScores
 
 if TYPE_CHECKING:
     from ..dialogue.transcript import Transcript
-
-HEURISTIC_COMMIT_PATTERNS = DEFAULT_PATTERNS_COMMIT
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,7 @@ def heuristic_score(dialog: "Transcript") -> HeuristicScores:
         turns[i].speaker != turns[i + 1].speaker for i in range(len(turns) - 1)
     )
     commits = sum(
-        1 for turn in turns if any(pat in turn.text for pat in HEURISTIC_COMMIT_PATTERNS)
+        1 for turn in turns if any(pat in turn.text for pat in DEFAULT_PATTERNS_COMMIT)
     )
     drifts = sum(1 for turn in turns if len(turn.text.split()) < 3)
 
@@ -71,7 +69,9 @@ CASUAL_MARKERS = ("lol", "haha", "lmao", "dunno", "meme", "idk", "!!")
 BLUR_MARKERS = ("lol", "i guess", "kinda", "sort of", "dunno", "or something", "idk")
 ATTRIBUTION_MARKERS = ("you should", "you must", "no one is willing")
 CONTINUITY_MARKERS = ("as you said", "you promised", "i still", "as we discussed", "as i said")
-TRANSFER_MARKERS = ("i'll leave that to", "i leave that to", "over to you", "your turn")
+TRANSFER_MARKERS = tuple(p.lower() for p in DEFAULT_PATTERNS_TRANSFER) + (
+    "i leave that to", "over to you", "your turn"
+)
 EVASIVE_MARKERS = ("whatever", "not my problem", "who cares", "let's talk about", "anyway")
 MIRROR_MARKERS = ("i see your point", "i follow", "let me add", "you're right", "i agree",
                   "as you say", "good point")

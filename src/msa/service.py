@@ -23,10 +23,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .dialogue.llm import LlmClient, StubLlmClient
 from .dialogue.transcript import DialogueTurn, Transcript
-from .errors import InvalidRequest, LlmTimeout, LlmUnavailable, MalformedJson, MsaError
+from .errors import (
+    GraphTooLarge,
+    InvalidRequest,
+    LlmTimeout,
+    LlmUnavailable,
+    MalformedJson,
+    MsaError,
+)
 from .gcode.registry import TagRegistry, load_registry
 from .gcode.tags import build_prompt_directives, speaker_module_from_obj
-from .msl.cycles import EXHAUSTIVE_NODE_LIMIT, cyclic_components, detect_closed_loops
+from .msl.cycles import cyclic_components, detect_closed_loops
 from .msl.graph import ResponsibilityGraph, detect_partial_drift
 from .scoring.report import annotate_transcript, scorecard_json
 
@@ -36,18 +43,18 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 def analyze_graph_report(graph: ResponsibilityGraph) -> dict[str, object]:
     """Loop and drift summary shared by the CLI and the HTTP endpoint.
 
-    Above the exhaustive node limit this degrades to naming the cyclic
-    strongly connected components instead of enumerating loops.
+    When detect_closed_loops refuses the graph as too large, this degrades to
+    naming the cyclic strongly connected components instead of the loops.
     """
     report: dict[str, object] = {}
-    if len(graph.nodes) > EXHAUSTIVE_NODE_LIMIT:
-        components = cyclic_components(graph)
+    try:
+        loops = detect_closed_loops(graph)
+    except GraphTooLarge:
         report["loops"] = None
         report["self_retention"] = None
-        report["cyclic_components"] = sorted(sorted(c) for c in components)
+        report["cyclic_components"] = sorted(sorted(c) for c in cyclic_components(graph))
         report["exhaustive"] = False
     else:
-        loops = detect_closed_loops(graph)
         ordered = sorted(loops)
         ordered.sort(key=len)  # stable: by length, then by nodes
         report["loops"] = [list(loop) for loop in ordered]
@@ -82,6 +89,7 @@ class MsaHttpServer(ThreadingHTTPServer):
 class MsaRequestHandler(BaseHTTPRequestHandler):
     server: MsaHttpServer
     protocol_version = "HTTP/1.1"
+    timeout = 10  # seconds a socket read or write may stall before the connection is dropped
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # keep test output quiet; operators can wrap serve() for logging
@@ -108,7 +116,13 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             self.close_connection = True  # the unread body must not parse as the next request
             raise InvalidRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True  # the rest of the body may still arrive
+            raise InvalidRequest(
+                f"body shorter than its Content-Length of {length}: no data for {self.timeout} s"
+            ) from None
         if not raw:
             raise MalformedJson("empty request body")
         try:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .dialogue.llm import LlmClient
-from .dialogue.pipeline import PipelineConfig, run_pipeline
+from .dialogue.pipeline import run_pipeline
 from .dialogue.transcript import DialogueTurn, Transcript, dump_transcript_jsonl
 from .errors import InvalidRequest, MalformedJson
 from .gcode.tags import SpeakerModuleConfig, config_from_keyed_object
@@ -80,7 +80,6 @@ def simulate(
     llm: LlmClient,
     turns: int = 6,
     seed: int = 0,
-    pipeline_config: PipelineConfig = PipelineConfig(),
 ) -> Transcript:
     """Run ``turns`` pipeline replies over the task's speakers."""
     if turns < 1:
@@ -99,8 +98,8 @@ def simulate(
     )
     for i in range(turns):
         name = order[i % len(order)]
-        result = run_pipeline(transcript, task.speakers[name], llm, pipeline_config)
-        transcript = transcript.with_turn(replace(result.reply, speaker=name))
+        result = run_pipeline(transcript, task.speakers[name], llm, speaker=name)
+        transcript = transcript.with_turn(result.reply)
     return transcript
 
 
@@ -111,10 +110,9 @@ def run_simulation_to_file(
     task_id: str = "task",
     turns: int = 6,
     seed: int = 0,
-    pipeline_config: PipelineConfig = PipelineConfig(),
 ) -> Path:
     """Simulate and write ``<task-id>.<timestamp>.jsonl`` under ``out_dir``."""
-    transcript = simulate(task, llm, turns=turns, seed=seed, pipeline_config=pipeline_config)
+    transcript = simulate(task, llm, turns=turns, seed=seed)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())

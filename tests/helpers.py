@@ -14,6 +14,7 @@ import urllib.error
 import urllib.request
 from contextlib import contextmanager
 
+from msa.dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
 from msa.dialogue.roles import DEFAULT_ROLE_POLICY
 from msa.dialogue.transcript import DialogueTurn, Transcript
 from msa.errors import EmptyContext
@@ -63,6 +64,47 @@ def brute_force_drift(graph: ResponsibilityGraph) -> set[str]:
     """Nodes that never appear as an edge source."""
     sources = {e.source for e in graph.edges}
     return {n for n in graph.nodes if n not in sources}
+
+
+def reference_chain_edges(transcript: Transcript) -> ResponsibilityGraph:
+    """The chain's transfer graph as first built: one edge appended per transfer.
+
+    Folds the turns by the rules of update_commitments and appends each edge,
+    registering its endpoints, at the moment its transfer happens, instead of
+    deriving the graph from the finished commitments.
+    """
+    commitments: list[dict] = []  # id, holder, text, live
+    nodes: set[str] = set()
+    edges: list[ResponsibilityEdge] = []
+    last_speaker, last_index = None, -1
+    for turn in transcript.turns:
+        if turn.index <= last_index:
+            continue
+        if any(pat in turn.text for pat in DEFAULT_PATTERNS_TRANSFER):
+            for commitment in reversed(commitments):
+                if commitment["holder"] == turn.speaker and commitment["live"]:
+                    target = last_speaker
+                    if not target or target == turn.speaker:
+                        target = turn.speaker
+                    commitment["live"] = False
+                    nodes |= {turn.speaker, target}
+                    edges.append(
+                        ResponsibilityEdge(
+                            source=turn.speaker,
+                            target=target,
+                            utterance_index=turn.index,
+                            label=commitment["id"],
+                        )
+                    )
+                    break
+        elif any(pat in turn.text for pat in DEFAULT_PATTERNS_COMMIT):
+            key = turn.text.strip()
+            if all(c["text"] != key for c in commitments):
+                commitments.append(
+                    {"id": f"c{turn.index}", "holder": turn.speaker, "text": key, "live": True}
+                )
+        last_speaker, last_index = turn.speaker, turn.index
+    return ResponsibilityGraph(nodes=frozenset(nodes), edges=tuple(edges))
 
 
 def _has_any(text: str, markers: tuple[str, ...]) -> bool:

@@ -1,4 +1,4 @@
-"""Responsibility graph container, builder instrumentation, drift, closure."""
+"""Responsibility graph container, JSON form, drift, closure, loops."""
 
 from __future__ import annotations
 
@@ -7,29 +7,12 @@ import pytest
 from msa.errors import GraphTooLarge, MalformedJson, UnknownSpeaker
 from msa.msl.cycles import cyclic_components, detect_closed_loops, is_closed_loop
 from msa.msl.graph import (
-    GraphBuilder,
     ResponsibilityEdge,
     ResponsibilityGraph,
-    add_transfer,
     detect_partial_drift,
     transitive_closure,
 )
 from helpers import make_graph
-
-
-def test_with_transfer_auto_registers_endpoints():
-    g = ResponsibilityGraph().with_transfer(
-        ResponsibilityEdge(source="a", target="b", utterance_index=0), auto_register=True
-    )
-    assert g.nodes == frozenset({"a", "b"})
-    assert len(g.edges) == 1
-
-
-def test_with_transfer_strict_by_default():
-    with pytest.raises(UnknownSpeaker):
-        ResponsibilityGraph().with_transfer(
-            ResponsibilityEdge(source="a", target="b", utterance_index=0)
-        )
 
 
 def test_parallel_and_self_edges_are_legal():
@@ -48,15 +31,6 @@ def test_rejects_empty_speaker():
         ResponsibilityEdge(source="", target="b", utterance_index=0)
 
 
-def test_functional_add_transfer_does_not_mutate():
-    g0 = make_graph(["a"], [])
-    g1 = add_transfer(
-        g0, ResponsibilityEdge(source="a", target="b", utterance_index=1), auto_register=True
-    )
-    assert g0.nodes == frozenset({"a"})
-    assert g1.nodes == frozenset({"a", "b"})
-
-
 def test_json_round_trip():
     g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert ResponsibilityGraph.from_dict(g.to_dict()) == g
@@ -67,27 +41,6 @@ def test_from_dict_rejects_dangling_endpoint():
         ResponsibilityGraph.from_dict(
             {"nodes": ["a"], "edges": [{"from": "a", "to": "zz", "utterance_index": 0}]}
         )
-
-
-def test_builder_equals_functional_path():
-    pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "c")]
-    builder = GraphBuilder()
-    for i, (s, t) in enumerate(pairs):
-        builder.add_transfer(ResponsibilityEdge(source=s, target=t, utterance_index=i))
-    assert builder.build() == make_graph(["a", "b", "c"], pairs)
-
-
-def test_builder_ops_scale_linearly():
-    def ops_for(n: int) -> int:
-        builder = GraphBuilder()
-        for i in range(n):
-            builder.add_transfer(
-                ResponsibilityEdge(source=f"s{i}", target=f"s{i + 1}", utterance_index=i)
-            )
-        return builder.ops
-
-    small, large = ops_for(100), ops_for(10_000)
-    assert large <= (small / 100) * 10_000 * 1.2
 
 
 def test_detect_partial_drift():
@@ -138,12 +91,7 @@ def test_acyclic_graph_has_no_loops():
 
 
 def test_too_large_graph_raises_and_fallback_works():
-    builder = GraphBuilder()
-    for i in range(10_001):
-        builder.add_node(f"s{i}")
-    builder.add_transfer(ResponsibilityEdge(source="s0", target="s1", utterance_index=0))
-    builder.add_transfer(ResponsibilityEdge(source="s1", target="s0", utterance_index=1))
-    g = builder.build()
+    g = make_graph([f"s{i}" for i in range(10_001)], [("s0", "s1"), ("s1", "s0")])
     with pytest.raises(GraphTooLarge):
         detect_closed_loops(g)
     assert cyclic_components(g) == frozenset({frozenset({"s0", "s1"})})

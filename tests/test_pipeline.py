@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from msa.dialogue.llm import StubLlmClient
-from msa.dialogue.pipeline import PipelineConfig, run_pipeline
+from msa.dialogue.pipeline import run_pipeline
 from msa.dialogue.transcript import PragmaticRole
 from msa.errors import EmptyContext
 from msa.gcode.tags import SpeakerModuleConfig, parse_tag_list
@@ -107,14 +107,12 @@ def test_scores_cover_extended_transcript():
 
 def test_pipeline_is_deterministic():
     ctx = make_transcript([("u", "Summarize the sprint review?", "user")])
-    cfg = PipelineConfig()
-    a = run_pipeline(ctx, SpeakerModuleConfig(), STUB, cfg)
-    b = run_pipeline(ctx, SpeakerModuleConfig(), STUB, cfg)
+    a = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
+    b = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
     assert a == b
 
 
 def test_reply_speaker_override():
     ctx = make_transcript([("u", "Who takes notes?", "user")])
-    cfg = PipelineConfig(reply_speaker="scribe")
-    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB, cfg)
+    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB, speaker="scribe")
     assert result.reply.speaker == "scribe"

@@ -13,8 +13,8 @@ import pytest
 
 from msa.dialogue.llm import StubLlmClient
 from msa.errors import LlmTimeout, LlmUnavailable
-from msa.service import MAX_BODY_BYTES
-from helpers import get_json, post_json, running_server
+from msa.service import MAX_BODY_BYTES, MsaRequestHandler, analyze_graph_report
+from helpers import get_json, make_graph, post_json, running_server
 
 SAMPLE_BODY = {
     "prompt": (
@@ -123,6 +123,22 @@ def test_bad_content_length_is_400(length):
     assert json.loads(body)["code"] == "InvalidRequest"
 
 
+def test_short_body_times_out_with_400(monkeypatch):
+    monkeypatch.setattr(MsaRequestHandler, "timeout", 0.5)
+    with running_server() as port:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /annotate HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: 10\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after the timeout
+                reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"400"
+    assert json.loads(body)["code"] == "InvalidRequest"
+
+
 def test_unknown_path_is_404():
     with running_server() as port:
         status, body = post_json(port, "/no_such_route", {})
@@ -210,6 +226,15 @@ def test_analyze_graph_endpoint():
         "exhaustive": True,
         "partial_drift": ["c"],
     }
+
+
+def test_analyze_graph_report_degrades_above_node_limit():
+    graph = make_graph([f"s{i}" for i in range(10_001)], [("s0", "s1"), ("s1", "s0"), ("s5", "s5")])
+    report = analyze_graph_report(graph)
+    assert report["exhaustive"] is False
+    assert report["loops"] is None and report["self_retention"] is None
+    assert report["cyclic_components"] == [["s0", "s1"], ["s5"]]
+    assert len(report["partial_drift"]) == 10_001 - 3
 
 
 def test_analyze_graph_rejects_bad_shape():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import msa.simulate
 from msa.dialogue.llm import StubLlmClient
 from msa.errors import InvalidRequest, MalformedJson, UnknownValue
 from msa.simulate import MultiSpeakerTask, load_task, run_simulation_to_file, simulate
@@ -113,6 +114,25 @@ def test_directive_profiles_reach_the_stub():
     by_speaker = {t.speaker: t.text for t in transcript.turns[1:]}
     assert "[TONE=HIGHASSERT]" in by_speaker["speaker_B"]
     assert "[TONE=NEUTRAL]" in by_speaker["speaker_A"]
+
+
+def test_pipeline_credits_the_real_speaker(monkeypatch):
+    results = []
+    run_pipeline = msa.simulate.run_pipeline
+
+    def recording(*args, **kwargs):
+        results.append(run_pipeline(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(msa.simulate, "run_pipeline", recording)
+    task = MultiSpeakerTask.from_obj(dict(TASK_OBJ, task="We will decide who owns the rollout."))
+    simulate(task, STUB, turns=6, seed=0)
+    speakers = set(task.speakers)
+    assert len(results) == 6
+    for result in results:
+        assert result.reply.speaker in speakers
+        assert result.chain.commitments  # every echoed reply commits ("will")
+        assert {c.holder for c in result.chain.commitments} <= speakers | {"moderator"}
 
 
 class _GrowthGuard:
