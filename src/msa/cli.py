@@ -80,6 +80,15 @@ def _speaker_module_from_text(text: str) -> SpeakerModuleConfig:
     return parse_tag_list(stripped.split())
 
 
+def _function_roles(raw: object) -> tuple[PragmaticRole, ...]:
+    if not isinstance(raw, list):
+        raise InvalidRequest(f"function_roles must be an array, got {type(raw).__name__}")
+    try:
+        return tuple(PragmaticRole(role) for role in raw)
+    except ValueError as exc:
+        raise InvalidRequest(f"function_roles: {exc}") from None
+
+
 # --- subcommand handlers ---
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -129,7 +138,7 @@ def _cmd_score_case(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise MalformedJson(f"{path}: {exc}") from exc
         sub = SubScores.from_dict(raw)
-        roles = tuple(PragmaticRole(r) for r in raw.get("function_roles", []))
+        roles = _function_roles(raw.get("function_roles", []))
     shift_pct = shift_rate_percent(roles) if len(roles) >= 2 else None
     sys.stdout.write(render_case_table(sub, shift_pct, title=path.stem))
     if args.json:

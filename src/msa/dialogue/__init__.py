@@ -8,9 +8,10 @@ from .commitments import (
     ChainState,
     Commitment,
     CommitmentStatus,
-    DEFAULT_PATTERNS,
-    PatternSet,
+    DEFAULT_PATTERNS_COMMIT,
+    DEFAULT_PATTERNS_TRANSFER,
     flag_silent_abandonment,
+    mentions_commitment,
     replay,
     update_commitments,
 )
@@ -21,14 +22,7 @@ from .llm import (
     StubLlmClient,
     client_from_name,
 )
-from .roles import (
-    DEFAULT_ROLE_POLICY,
-    RolePolicy,
-    RoleRule,
-    TransitionVerdict,
-    assign_role,
-    monitor_role_transition,
-)
+from .roles import ROLE_CUES, assign_role, classify_role
 from .transcript import (
     DialogueTurn,
     PragmaticRole,
@@ -43,28 +37,26 @@ __all__ = [
     "Commitment",
     "CommitmentStatus",
     "DEFAULT_DRIFT_THRESHOLD",
-    "DEFAULT_PATTERNS",
-    "DEFAULT_ROLE_POLICY",
+    "DEFAULT_PATTERNS_COMMIT",
+    "DEFAULT_PATTERNS_TRANSFER",
     "DialogueTurn",
     "DriftReport",
     "LlmClient",
-    "PatternSet",
     "PragmaticRole",
+    "ROLE_CUES",
     "RemoteLlmClient",
-    "RolePolicy",
-    "RoleRule",
     "StubLlmClient",
     "TURN_ROLES",
     "Transcript",
-    "TransitionVerdict",
     "assign_role",
+    "classify_role",
     "client_from_name",
     "detect_drift",
     "dump_transcript_jsonl",
     "flag_silent_abandonment",
     "generate_realignment",
     "load_transcript_jsonl",
-    "monitor_role_transition",
+    "mentions_commitment",
     "replay",
     "update_commitments",
 ]

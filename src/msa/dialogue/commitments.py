@@ -100,19 +100,9 @@ DEFAULT_PATTERNS_COMMIT = ("I will", "will", "should")
 DEFAULT_PATTERNS_TRANSFER = ("I'll leave that to",)
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    commitment: tuple[str, ...] = DEFAULT_PATTERNS_COMMIT
-    transfer: tuple[str, ...] = DEFAULT_PATTERNS_TRANSFER
-
-    def matches_commitment(self, text: str) -> bool:
-        return any(pat in text for pat in self.commitment)
-
-    def matches_transfer(self, text: str) -> bool:
-        return any(pat in text for pat in self.transfer)
-
-
-DEFAULT_PATTERNS = PatternSet()
+def mentions_commitment(text: str) -> bool:
+    """The commitment test shared by the chain fold and the heuristic triple."""
+    return any(pat in text for pat in DEFAULT_PATTERNS_COMMIT)
 
 
 @dataclass(frozen=True)
@@ -153,9 +143,7 @@ class ChainState:
         return ResponsibilityGraph(nodes=frozenset(nodes), edges=tuple(edges))
 
 
-def update_commitments(
-    state: ChainState, turn: DialogueTurn, patterns: PatternSet = DEFAULT_PATTERNS
-) -> ChainState:
+def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
     """Fold one turn into the chain state; returns a new state.
 
     A transfer phrase moves the speaker's most recent live commitment to the
@@ -168,7 +156,7 @@ def update_commitments(
 
     commitments = list(state.commitments)
 
-    if patterns.matches_transfer(turn.text):
+    if any(pat in turn.text for pat in DEFAULT_PATTERNS_TRANSFER):
         for pos in range(len(commitments) - 1, -1, -1):
             candidate = commitments[pos]
             if candidate.holder == turn.speaker and candidate.is_live:
@@ -179,7 +167,7 @@ def update_commitments(
                     CommitmentStatus.TRANSFERRED, turn.index, target=target
                 )
                 break
-    elif patterns.matches_commitment(turn.text):
+    elif mentions_commitment(turn.text):
         key = turn.text.strip()
         if all(c.text != key for c in commitments):
             commitments.append(
@@ -200,10 +188,10 @@ def update_commitments(
     )
 
 
-def replay(transcript: "Transcript", patterns: PatternSet = DEFAULT_PATTERNS) -> ChainState:
+def replay(transcript: "Transcript") -> ChainState:
     state = ChainState()
     for turn in transcript.turns:
-        state = update_commitments(state, turn, patterns)
+        state = update_commitments(state, turn)
     return state
 
 

@@ -2,9 +2,9 @@
 
 The overlap ratio divides the number of distinct shared tokens by the total
 token count of the current utterance. An utterance drifts exactly when that
-ratio falls strictly below the threshold, so a ratio equal to the threshold
-does not drift. The realignment directive is computed from the current turn
-alone; no history re-scan is ever needed.
+ratio falls strictly below DEFAULT_DRIFT_THRESHOLD (0.2), so a ratio equal to
+the threshold does not drift. The realignment directive is computed from the
+current turn alone; no history re-scan is ever needed.
 """
 
 from __future__ import annotations
@@ -41,27 +41,19 @@ def generate_realignment(last_user_text: str) -> str:
     return f"(please confirm first: '{excerpt}')"
 
 
-def detect_drift(
-    prev_text: str,
-    curr_text: str,
-    threshold: float = DEFAULT_DRIFT_THRESHOLD,
-    *,
-    turn_index: int = 0,
-    raw_tokens: bool = False,
-) -> DriftReport:
+def detect_drift(prev_text: str, curr_text: str, *, turn_index: int = 0) -> DriftReport:
     """Compare the current utterance against the previous one.
 
-    ``raw_tokens`` switches to plain whitespace splitting for bit-identical
-    legacy arithmetic; the default normalizes case and ASCII punctuation
-    first. Raises EmptyUtterance when the current utterance has no tokens.
+    Both texts are lowercased and stripped of ASCII punctuation before
+    splitting. Raises EmptyUtterance when the current utterance has no tokens.
     """
-    prev_tokens = tokenize(prev_text, raw=raw_tokens)
-    curr_tokens = tokenize(curr_text, raw=raw_tokens)
+    prev_tokens = tokenize(prev_text)
+    curr_tokens = tokenize(curr_text)
     if not curr_tokens:
         raise EmptyUtterance(f"no tokens in current utterance {curr_text!r}")
     overlap = len(set(prev_tokens) & set(curr_tokens))
     ratio = overlap / len(curr_tokens)
-    drifted = ratio < threshold
+    drifted = ratio < DEFAULT_DRIFT_THRESHOLD
     return DriftReport(
         turn_index=turn_index,
         overlap_ratio=ratio,

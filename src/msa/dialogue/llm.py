@@ -55,7 +55,7 @@ class RemoteLlmClient:
     retries: int = 2
 
     @classmethod
-    def from_env(cls, timeout: float = 30.0, retries: int = 2) -> "RemoteLlmClient":
+    def from_env(cls) -> "RemoteLlmClient":
         base_url = os.environ.get(ENV_BASE_URL, "")
         if not base_url:
             raise LlmUnavailable(f"{ENV_BASE_URL} is not set")
@@ -63,8 +63,6 @@ class RemoteLlmClient:
             base_url=base_url,
             model=os.environ.get(ENV_MODEL, "default"),
             token=os.environ.get(ENV_TOKEN) or None,
-            timeout=timeout,
-            retries=retries,
         )
 
     def generate(self, directives: str, context: "Transcript") -> str:
@@ -105,10 +103,10 @@ class RemoteLlmClient:
         raise LlmUnavailable(f"{self.base_url} unreachable: {last_error}") from last_error
 
 
-def client_from_name(name: str, timeout: float = 30.0, retries: int = 2) -> LlmClient:
+def client_from_name(name: str) -> LlmClient:
     """Resolve 'stub' or 'remote' to a configured client."""
     if name == "stub":
         return StubLlmClient()
     if name == "remote":
-        return RemoteLlmClient.from_env(timeout=timeout, retries=retries)
+        return RemoteLlmClient.from_env()
     raise LlmUnavailable(f"unknown llm client {name!r} (expected 'stub' or 'remote')")

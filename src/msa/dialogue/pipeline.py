@@ -5,14 +5,14 @@ Order of operations, fixed:
 1. infer tags from context, compile the directive string
 2. assign the reply's turn role and pragmatic role
 3. rebuild the commitment chain by replaying the context
-4. drift-check the last two turns; when drifted, append the realignment
-   directive to the compiled string
+4. drift-check the last two turns, unless the last has no tokens; when
+   drifted, append the realignment directive to the compiled string
 5. ask the client for a reply
 6. fold the reply into the commitment chain
 7. score the extended dialogue with the heuristic triple
 
-Every stage runs with its module defaults: the bundled inference rules, the
-default role policy and commitment patterns, and the default drift threshold.
+Every stage runs with its module's one policy: the bundled inference rules,
+the role cue table, the commitment phrases, and the drift threshold.
 Deterministic end to end with the stub client: same context, same previous
 tags, same speaker give byte-identical directives, reply, and scores.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import EmptyContext
+from ..errors import EmptyContext, EmptyUtterance
 from ..gcode.inference import infer_tags
 from ..gcode.tags import SpeakerModuleConfig, build_prompt_directives
 from ..scoring.heuristics import HeuristicScores, heuristic_score
@@ -39,10 +39,6 @@ class PipelineResult:
     chain: ChainState
     drift: DriftReport | None
     scores: HeuristicScores
-
-    @property
-    def drift_flag(self) -> bool:
-        return bool(self.drift and self.drift.drifted)
 
 
 def run_pipeline(
@@ -68,13 +64,17 @@ def run_pipeline(
 
     drift = None
     if len(context.turns) >= 2:
-        drift = detect_drift(
-            context.turns[-2].text,
-            context.turns[-1].text,
-            turn_index=context.turns[-1].index,
-        )
-        if drift.drifted and drift.realignment:
-            directives = f"{directives} {drift.realignment}" if directives else drift.realignment
+        try:
+            drift = detect_drift(
+                context.turns[-2].text,
+                context.turns[-1].text,
+                turn_index=context.turns[-1].index,
+            )
+        except EmptyUtterance:
+            pass  # a last turn with no tokens (say "...") has nothing to compare
+        else:
+            if drift.drifted and drift.realignment:
+                directives = f"{directives} {drift.realignment}" if directives else drift.realignment
 
     reply_text = llm.generate(directives, context)
     reply = DialogueTurn(

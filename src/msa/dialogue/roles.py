@@ -1,9 +1,7 @@
-"""Turn-role alternation and declarative pragmatic-role policies."""
+"""Turn-role alternation and the pragmatic-role cue table."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from .commitments import DEFAULT_PATTERNS_TRANSFER
@@ -12,76 +10,38 @@ from .transcript import PragmaticRole
 if TYPE_CHECKING:
     from .transcript import Transcript
 
-
-@dataclass(frozen=True)
-class RoleRule:
-    """First-match keyword rule: ``kind`` is contains_char or contains_phrase."""
-
-    kind: str
-    args: tuple[str, ...]
-    role: PragmaticRole
-
-    def matches(self, text: str) -> bool:
-        if self.kind == "contains_char":
-            return any(ch in text for ch in self.args)
-        return any(phrase in text for phrase in self.args)
-
-
-@dataclass(frozen=True)
-class RolePolicy:
-    rules: tuple[RoleRule, ...]
-    default: PragmaticRole = PragmaticRole.INFORMATION_PROVIDER
-
-    def classify(self, text: str) -> PragmaticRole:
-        for rule in self.rules:
-            if rule.matches(text):
-                return rule.role
-        return self.default
-
-
-DEFAULT_ROLE_POLICY = RolePolicy(
-    rules=(
-        RoleRule(kind="contains_char", args=("?",), role=PragmaticRole.CLARIFIER),
-        RoleRule(
-            kind="contains_phrase",
-            args=("I will", "I'll handle", "I shall", "I promise", "I can take"),
-            role=PragmaticRole.RESPONSIBILITY_ACCEPTOR,
-        ),
-        RoleRule(
-            kind="contains_phrase",
-            args=("you should", "you must", "you need to", *DEFAULT_PATTERNS_TRANSFER, "please "),
-            role=PragmaticRole.RESPONSIBILITY_DELEGATOR,
-        ),
+# (phrases, role) pairs, first match wins; a text matching none is an
+# information provider. Phrases match as case-sensitive substrings.
+ROLE_CUES = (
+    (("?",), PragmaticRole.CLARIFIER),
+    (
+        ("I will", "I'll handle", "I shall", "I promise", "I can take"),
+        PragmaticRole.RESPONSIBILITY_ACCEPTOR,
+    ),
+    (
+        ("you should", "you must", "you need to", *DEFAULT_PATTERNS_TRANSFER, "please "),
+        PragmaticRole.RESPONSIBILITY_DELEGATOR,
     ),
 )
 
 
-def assign_role(
-    context: "Transcript", policy: RolePolicy = DEFAULT_ROLE_POLICY
-) -> tuple[str, PragmaticRole]:
+def classify_role(text: str) -> PragmaticRole:
+    for phrases, role in ROLE_CUES:
+        if any(phrase in text for phrase in phrases):
+            return role
+    return PragmaticRole.INFORMATION_PROVIDER
+
+
+def assign_role(context: "Transcript") -> tuple[str, PragmaticRole]:
     """Role pair for the next reply.
 
     The turn role alternates off the final turn of the context. With no
     context the alternation seed behaves like a system turn, so the first
-    assigned slot is ``user``. The pragmatic role comes from the first
-    matching policy rule applied to the final turn's text.
+    assigned slot is ``user``. The pragmatic role is the first cue in
+    ``ROLE_CUES`` that the final turn's text matches.
     """
     last_role = context.turns[-1].turn_role if context.turns else "system"
     turn_role = "assistant" if last_role == "user" else "user"
     if not context.turns:
-        return turn_role, policy.default
-    return turn_role, policy.classify(context.turns[-1].text)
-
-
-class TransitionVerdict(Enum):
-    SMOOTH = "smooth"
-    FLAGGED = "flagged"
-
-
-def monitor_role_transition(
-    prev: PragmaticRole, next_role: PragmaticRole, cause: str | None = None
-) -> TransitionVerdict:
-    """A role change without a recorded cause is flagged; all else is smooth."""
-    if prev != next_role and not cause:
-        return TransitionVerdict.FLAGGED
-    return TransitionVerdict.SMOOTH
+        return turn_role, PragmaticRole.INFORMATION_PROVIDER
+    return turn_role, classify_role(context.turns[-1].text)

@@ -9,7 +9,7 @@ for discourse reasons. They are never conflated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -70,13 +70,19 @@ class DialogueTurn:
                 function_role = PragmaticRole(str(role_raw))
             except ValueError:
                 raise InvalidRequest(f"unknown function_role {role_raw!r}") from None
+        speaker = obj.get("speaker", "")
+        text = obj.get("text", "")
+        turn_role = obj.get("turn_role", "")
+        for key, value in (("speaker", speaker), ("text", text), ("turn_role", turn_role)):
+            if not isinstance(value, str):
+                raise InvalidRequest(f"turn {key} must be a string, got {value!r}")
         index = obj.get("index", 0)
-        if not isinstance(index, int):
+        if type(index) is not int:  # bool is an int subclass, and not an index
             raise InvalidRequest(f"turn index must be an integer, got {index!r}")
         return cls(
-            speaker=str(obj.get("speaker", "")),
-            text=str(obj.get("text", "")),
-            turn_role=str(obj.get("turn_role", "")),
+            speaker=speaker,
+            text=text,
+            turn_role=turn_role,
             function_role=function_role,
             index=index,
         )
@@ -85,7 +91,6 @@ class DialogueTurn:
 @dataclass(frozen=True)
 class Transcript:
     turns: tuple[DialogueTurn, ...] = ()
-    metadata: Mapping[str, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         for prev, curr in zip(self.turns, self.turns[1:]):
@@ -102,29 +107,25 @@ class Transcript:
         return self.turns[-1].index + 1 if self.turns else 0
 
     def with_turn(self, turn: DialogueTurn) -> "Transcript":
-        return Transcript(turns=self.turns + (turn,), metadata=self.metadata)
+        return Transcript(turns=self.turns + (turn,))
 
     @classmethod
-    def from_dicts(
-        cls, rows: Iterable[Mapping[str, object]], metadata: Mapping[str, str] | None = None
-    ) -> "Transcript":
-        return cls(
-            turns=tuple(DialogueTurn.from_dict(row) for row in rows),
-            metadata=dict(metadata or {}),
-        )
+    def from_dicts(cls, rows: Iterable[Mapping[str, object]]) -> "Transcript":
+        return cls(turns=tuple(DialogueTurn.from_dict(row) for row in rows))
 
 
 def load_transcript_jsonl(path: str | Path) -> Transcript:
     rows = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except ValueError as exc:
-                raise MalformedJson(f"{path}:{lineno}: {exc}") from exc
-    return Transcript.from_dicts(rows, metadata={"source": str(path)})
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if line.strip():
+                    rows.append(json.loads(line))
+        except UnicodeDecodeError as exc:
+            raise MalformedJson(f"{path}: not UTF-8: {exc}") from exc
+        except ValueError as exc:
+            raise MalformedJson(f"{path}:{lineno}: {exc}") from exc
+    return Transcript.from_dicts(rows)
 
 
 def dump_transcript_jsonl(transcript: Transcript, path: str | Path) -> None:

@@ -61,7 +61,7 @@ def load_fixture(case_id: str, base_dir: Path | None = None) -> CaseFixture:
     for line in _verified(jsonl_name, sums[jsonl_name], base_dir).decode("utf-8").splitlines():
         if line.strip():
             rows.append(json.loads(line))
-    transcript = Transcript.from_dicts(rows, metadata={"case": case_id})
+    transcript = Transcript.from_dicts(rows)
 
     sub_name = f"{case_id}.subscores.json"
     sub_raw = json.loads(_verified(sub_name, sums[sub_name], base_dir).decode("utf-8"))
@@ -70,8 +70,3 @@ def load_fixture(case_id: str, base_dir: Path | None = None) -> CaseFixture:
     return CaseFixture(
         case_id=case_id, transcript=transcript, subscores=subscores, function_roles=roles
     )
-
-
-def load_fixtures(base_dir: Path | None = None) -> dict[str, CaseFixture]:
-    """All four verified cases, keyed by case id."""
-    return {case_id: load_fixture(case_id, base_dir) for case_id in FIXTURE_CASES}

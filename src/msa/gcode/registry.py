@@ -11,10 +11,10 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..errors import RegistryError
-from .dimensions import DIMENSION_ORDER, Dimension
+from .dimensions import Dimension
 
 
 @dataclass(frozen=True)
@@ -23,21 +23,8 @@ class TagRegistry:
 
     vocab: Mapping[Dimension, frozenset[str]]
 
-    def values_for(self, dimension: Dimension) -> frozenset[str]:
-        return self.vocab[dimension]
-
     def is_registered(self, dimension: Dimension, value: str) -> bool:
         return value in self.vocab[dimension]
-
-    def all_tags(self) -> Iterator[tuple[Dimension, str]]:
-        """Every (dimension, value) pair, in canonical order."""
-        for dim in DIMENSION_ORDER:
-            for value in sorted(self.vocab[dim]):
-                yield dim, value
-
-    @property
-    def size(self) -> int:
-        return sum(len(v) for v in self.vocab.values())
 
     @classmethod
     def from_mapping(cls, raw: object) -> "TagRegistry":

@@ -55,12 +55,6 @@ class SpeakerModuleConfig:
         ordered = tuple(sorted(self.tags, key=lambda t: DIMENSION_ORDER.index(t.dimension)))
         object.__setattr__(self, "tags", ordered)
 
-    def get(self, dimension: Dimension) -> GCodeTag | None:
-        for tag in self.tags:
-            if tag.dimension is dimension:
-                return tag
-        return None
-
     def with_tag(self, tag: GCodeTag) -> "SpeakerModuleConfig":
         """Copy with ``tag`` set, overriding any prior value for its dimension."""
         kept = tuple(t for t in self.tags if t.dimension is not tag.dimension)

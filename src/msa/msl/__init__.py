@@ -4,7 +4,6 @@ from .cycles import (
     EXHAUSTIVE_NODE_LIMIT,
     cyclic_components,
     detect_closed_loops,
-    is_closed_loop,
 )
 from .graph import (
     ResponsibilityEdge,
@@ -33,7 +32,6 @@ __all__ = [
     "cyclic_components",
     "detect_closed_loops",
     "detect_partial_drift",
-    "is_closed_loop",
     "load_context_rules",
     "transitive_closure",
 ]

@@ -14,7 +14,7 @@ contain a cycle.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..errors import GraphTooLarge
 from .graph import ResponsibilityGraph, SpeakerId
@@ -152,22 +152,3 @@ def cyclic_components(graph: ResponsibilityGraph) -> frozenset[frozenset[Speaker
             if node in adj[node]:
                 out.add(frozenset(component))
     return frozenset(out)
-
-
-def is_closed_loop(graph: ResponsibilityGraph, sequence: Sequence[SpeakerId]) -> bool:
-    """Sequence-mode check: does ``sequence`` trace a closed loop edge by edge?
-
-    Requires a transfer from each element to the next and from the last back
-    to the first. A one-element sequence therefore needs a self-edge. Repeated
-    nodes make the sequence non-elementary, which is rejected.
-    """
-    if not sequence:
-        return False
-    if len(set(sequence)) != len(sequence):
-        return False
-    adj = graph.adjacency()
-    for node in sequence:
-        if node not in adj:
-            return False
-    n = len(sequence)
-    return all(sequence[(i + 1) % n] in adj[sequence[i]] for i in range(n))

@@ -34,20 +34,14 @@ class ResponsibilityEdge:
         _check_speaker(self.source)
         _check_speaker(self.target)
 
-    def to_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {"from": self.source, "to": self.target}
-        if self.utterance_index is not None:
-            out["utterance_index"] = self.utterance_index
-        if self.label is not None:
-            out["label"] = self.label
-        return out
-
     @classmethod
-    def from_dict(cls, obj: Mapping[str, object]) -> "ResponsibilityEdge":
+    def from_dict(cls, obj: object) -> "ResponsibilityEdge":
+        if not isinstance(obj, dict):
+            raise MalformedJson(f"edge must be an object, got {type(obj).__name__}")
         if "from" not in obj or "to" not in obj:
-            raise MalformedJson(f"edge object needs 'from' and 'to': {dict(obj)!r}")
+            raise MalformedJson(f"edge object needs 'from' and 'to': {obj!r}")
         index = obj.get("utterance_index")
-        if index is not None and not isinstance(index, int):
+        if index is not None and type(index) is not int:  # bool is an int subclass
             raise MalformedJson(f"utterance_index must be an integer, got {index!r}")
         label = obj.get("label")
         if label is not None and not isinstance(label, str):
@@ -77,12 +71,6 @@ class ResponsibilityGraph:
         for edge in self.edges:
             adj[edge.source].add(edge.target)
         return adj
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "nodes": sorted(self.nodes),
-            "edges": [edge.to_dict() for edge in self.edges],
-        }
 
     @classmethod
     def from_dict(cls, obj: Mapping[str, object]) -> "ResponsibilityGraph":

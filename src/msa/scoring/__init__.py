@@ -2,9 +2,7 @@
 
 from .heuristics import (
     AnnotatedSubScores,
-    DEFAULT_RUBRIC_RULES,
     HeuristicScores,
-    RubricRuleSet,
     auto_annotate,
     heuristic_score,
 )
@@ -29,11 +27,9 @@ from .stats import (
 
 __all__ = [
     "AnnotatedSubScores",
-    "DEFAULT_RUBRIC_RULES",
     "GroupStats",
     "HeuristicScores",
     "METRIC_KEYS",
-    "RubricRuleSet",
     "SUB_MAXIMA",
     "ScoreCard",
     "SubScores",

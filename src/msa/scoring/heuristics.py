@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import EmptyContext
 from ..text import content_tokens
-from ..dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
-from ..dialogue.roles import DEFAULT_ROLE_POLICY
+from ..dialogue.commitments import DEFAULT_PATTERNS_TRANSFER, mentions_commitment
+from ..dialogue.roles import classify_role
 from .rubric import SubScores
 
 if TYPE_CHECKING:
@@ -51,9 +50,7 @@ def heuristic_score(dialog: "Transcript") -> HeuristicScores:
     alternating = all(
         turns[i].speaker != turns[i + 1].speaker for i in range(len(turns) - 1)
     )
-    commits = sum(
-        1 for turn in turns if any(pat in turn.text for pat in DEFAULT_PATTERNS_COMMIT)
-    )
+    commits = sum(1 for turn in turns if mentions_commitment(turn.text))
     drifts = sum(1 for turn in turns if len(turn.text.split()) < 3)
 
     return HeuristicScores(
@@ -79,21 +76,13 @@ REPAIR_MARKERS = ("we're off", "off topic", "off-topic", "not quite what i",
                   "let me rephrase", "to clarify", "wait,")
 
 
-@dataclass(frozen=True)
-class RubricRuleSet:
-    """Marker lists driving the advisory annotator."""
-
-    casual: tuple[str, ...] = CASUAL_MARKERS
-    blur: tuple[str, ...] = BLUR_MARKERS
-    attribution: tuple[str, ...] = ATTRIBUTION_MARKERS
-    continuity: tuple[str, ...] = CONTINUITY_MARKERS
-    transfer: tuple[str, ...] = TRANSFER_MARKERS
-    evasive: tuple[str, ...] = EVASIVE_MARKERS
-    mirror: tuple[str, ...] = MIRROR_MARKERS
-    repair: tuple[str, ...] = REPAIR_MARKERS
-
-
-DEFAULT_RUBRIC_RULES = RubricRuleSet()
+# One alternation per marker family, in _TurnFeatures flag order; every
+# marker matches as a literal substring of the lowered text.
+_MARKER_REGEXES = tuple(
+    re.compile("|".join(map(re.escape, markers)))
+    for markers in (CASUAL_MARKERS, BLUR_MARKERS, ATTRIBUTION_MARKERS, CONTINUITY_MARKERS,
+                    TRANSFER_MARKERS, EVASIVE_MARKERS, MIRROR_MARKERS, REPAIR_MARKERS)
+)
 
 # Fixed confidence per sub-dimension. These are crude lexical proxies and the
 # numbers say so.
@@ -108,16 +97,6 @@ CONFIDENCE = {
 class AnnotatedSubScores:
     subscores: SubScores
     confidence: dict[str, float] = field(default_factory=dict)
-
-
-@lru_cache(maxsize=64)
-def _marker_regex(markers: tuple[str, ...]) -> re.Pattern[str]:
-    """One alternation matching any marker as a substring.
-
-    An empty alternation would match every text, so no markers compile to the
-    never-matching ``(?!)`` instead.
-    """
-    return re.compile("|".join(map(re.escape, markers)) or "(?!)")
 
 
 class _TurnFeatures(NamedTuple):
@@ -138,9 +117,7 @@ class _TurnFeatures(NamedTuple):
     repair: bool
 
 
-def auto_annotate(
-    transcript: "Transcript", rules: RubricRuleSet = DEFAULT_RUBRIC_RULES
-) -> AnnotatedSubScores:
+def auto_annotate(transcript: "Transcript") -> AnnotatedSubScores:
     """Lexical sub-score estimate with per-dimension confidence.
 
     Advisory only. See the comments above each block for what each
@@ -152,9 +129,6 @@ def auto_annotate(
     if not turns:
         raise EmptyContext("annotation needs at least one turn")
     n = len(turns)
-    regexes = [_marker_regex(markers) for markers in (  # _TurnFeatures flag order
-        rules.casual, rules.blur, rules.attribution, rules.continuity,
-        rules.transfer, rules.evasive, rules.mirror, rules.repair)]
     rows = []
     for t in turns:
         text, lowered, words = t.text, t.text.lower(), t.text.split()
@@ -162,7 +136,7 @@ def auto_annotate(
                         or text.startswith("I'"))
         rows.append(_TurnFeatures(
             t.speaker, text, content_tokens(text), len(words) < 3, first_person,
-            *[rx.search(lowered) is not None for rx in regexes]))
+            *[rx.search(lowered) is not None for rx in _MARKER_REGEXES]))
     pairs = list(zip(rows, rows[1:]))
     overlaps = [not a.tokens.isdisjoint(b.tokens) for a, b in pairs]
 
@@ -170,8 +144,8 @@ def auto_annotate(
     flips = sum(1 for a, b in pairs if a.casual != b.casual)
     p1 = 2 if flips == 0 else 1 if flips == 1 else 0
 
-    # P2: stability of policy-inferred pragmatic roles
-    inferred = [DEFAULT_ROLE_POLICY.classify(r.text) for r in rows]
+    # P2: stability of cue-inferred pragmatic roles
+    inferred = [classify_role(r.text) for r in rows]
     if n == 1:
         p2 = 2
     else:

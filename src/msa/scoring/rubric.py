@@ -57,6 +57,8 @@ class SubScores:
 
     @classmethod
     def from_dict(cls, obj: Mapping[str, object]) -> "SubScores":
+        if not isinstance(obj, Mapping):
+            raise RangeViolation(f"sub-scores must be an object, got {type(obj).__name__}")
         missing = [key for key in METRIC_KEYS if key not in obj]
         if missing:
             raise RangeViolation(f"sub-score object missing {missing}")

@@ -26,6 +26,8 @@ class GroupStats:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise RangeViolation(f"group size must be >= 2, got {self.n}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_dev)):
+            raise RangeViolation(f"mean and standard deviation must be finite, got {self}")
         if self.std_dev < 0:
             raise RangeViolation(f"standard deviation must be >= 0, got {self.std_dev}")
 

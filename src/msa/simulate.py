@@ -59,13 +59,6 @@ class MultiSpeakerTask:
             speakers[key] = config_from_keyed_object(value)
         return cls(speakers=speakers, task=str(obj["task"]))
 
-    def to_obj(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            name: config.to_keyed_object() for name, config in self.speakers.items()
-        }
-        out["task"] = self.task
-        return out
-
 
 def load_task(path: str | Path) -> MultiSpeakerTask:
     try:
@@ -94,7 +87,6 @@ def simulate(
                 speaker=TASK_TURN_SPEAKER, text=task.task, turn_role="system", index=0
             ),
         ),
-        metadata={"seed": str(seed)},
     )
     for i in range(turns):
         name = order[i % len(order)]

@@ -7,18 +7,11 @@ import string
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
-def tokenize(text: str, raw: bool = False) -> list[str]:
-    """Whitespace tokens of ``text``.
-
-    Normalized mode (the default) lowercases and strips ASCII punctuation
-    before splitting. Raw mode is a plain ``str.split`` for bit-compatibility
-    with the legacy overlap arithmetic.
-    """
-    if raw:
-        return text.split()
+def tokenize(text: str) -> list[str]:
+    """Whitespace tokens of ``text``, lowercased with ASCII punctuation stripped."""
     return text.lower().translate(_PUNCT_TABLE).split()
 
 
-def content_tokens(text: str, min_len: int = 4) -> set[str]:
-    """Normalized tokens of at least ``min_len`` characters."""
-    return {tok for tok in tokenize(text) if len(tok) >= min_len}
+def content_tokens(text: str) -> set[str]:
+    """Normalized tokens of at least four characters."""
+    return {tok for tok in tokenize(text) if len(tok) >= 4}

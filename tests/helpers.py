@@ -15,15 +15,21 @@ import urllib.request
 from contextlib import contextmanager
 
 from msa.dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
-from msa.dialogue.roles import DEFAULT_ROLE_POLICY
+from msa.dialogue.roles import classify_role
 from msa.dialogue.transcript import DialogueTurn, Transcript
 from msa.errors import EmptyContext
 from msa.msl.graph import ResponsibilityEdge, ResponsibilityGraph
 from msa.scoring.heuristics import (
+    ATTRIBUTION_MARKERS,
+    BLUR_MARKERS,
+    CASUAL_MARKERS,
     CONFIDENCE,
-    DEFAULT_RUBRIC_RULES,
+    CONTINUITY_MARKERS,
+    EVASIVE_MARKERS,
+    MIRROR_MARKERS,
+    REPAIR_MARKERS,
+    TRANSFER_MARKERS,
     AnnotatedSubScores,
-    RubricRuleSet,
 )
 from msa.scoring.rubric import SubScores
 from msa.text import content_tokens
@@ -116,9 +122,7 @@ def _first_person(text: str) -> bool:
     return "I" in text.split() or text.startswith("I ") or " I'" in text or text.startswith("I'")
 
 
-def reference_auto_annotate(
-    transcript: Transcript, rules: RubricRuleSet = DEFAULT_RUBRIC_RULES
-) -> AnnotatedSubScores:
+def reference_auto_annotate(transcript: Transcript) -> AnnotatedSubScores:
     """The advisory annotator as first written: every block rescans every turn.
 
     Each sub-dimension re-lowers, re-tokenizes and re-matches the turns it
@@ -130,11 +134,11 @@ def reference_auto_annotate(
     n = len(turns)
     pairs = list(zip(turns, turns[1:]))
 
-    styles = [_has_any(t.text, rules.casual) for t in turns]
+    styles = [_has_any(t.text, CASUAL_MARKERS) for t in turns]
     flips = sum(1 for a, b in zip(styles, styles[1:]) if a != b)
     p1 = 2 if flips == 0 else 1 if flips == 1 else 0
 
-    inferred = [DEFAULT_ROLE_POLICY.classify(t.text) for t in turns]
+    inferred = [classify_role(t.text) for t in turns]
     if n == 1:
         p2 = 2
     else:
@@ -149,15 +153,15 @@ def reference_auto_annotate(
     frag_ratio = fragments / n
     p3 = 2 if fragments == 0 else 1 if frag_ratio <= 0.25 else 0
 
-    blur_turns = sum(1 for t in turns if _has_any(t.text, rules.blur))
+    blur_turns = sum(1 for t in turns if _has_any(t.text, BLUR_MARKERS))
     p4 = 3 if blur_turns == 0 else 2 if blur_turns == 1 else 1 if blur_turns == 2 else 0
 
     attributing = sum(
-        1 for t in turns if _first_person(t.text) or _has_any(t.text, rules.attribution)
+        1 for t in turns if _first_person(t.text) or _has_any(t.text, ATTRIBUTION_MARKERS)
     )
     r1 = 2 if attributing >= 3 else 1 if attributing >= 1 else 0
 
-    marker_r2 = sum(1 for t in turns if _has_any(t.text, rules.continuity))
+    marker_r2 = sum(1 for t in turns if _has_any(t.text, CONTINUITY_MARKERS))
     marker_score = 2 if marker_r2 >= 2 else 1 if marker_r2 == 1 else 0
     reuse_hits = 0
     reuse_total = 0
@@ -175,8 +179,8 @@ def reference_auto_annotate(
     reuse_score = 2 if reuse_frac >= 0.6 else 1 if reuse_frac >= 0.3 else 0
     r2 = max(marker_score, reuse_score)
 
-    evasive_turns = sum(1 for t in turns if _has_any(t.text, rules.evasive))
-    if any(_has_any(t.text, rules.transfer) for t in turns):
+    evasive_turns = sum(1 for t in turns if _has_any(t.text, EVASIVE_MARKERS))
+    if any(_has_any(t.text, TRANSFER_MARKERS) for t in turns):
         r3 = 2
     elif evasive_turns >= 2:
         r3 = 0
@@ -187,7 +191,7 @@ def reference_auto_annotate(
     final_tokens = len(final.text.split())
     if final_tokens < 3:
         r4 = 0
-    elif _has_any(final.text, rules.evasive) or _has_any(final.text, rules.blur):
+    elif _has_any(final.text, EVASIVE_MARKERS) or _has_any(final.text, BLUR_MARKERS):
         r4 = 1
     elif "?" in final.text:
         r4 = 1
@@ -206,7 +210,7 @@ def reference_auto_annotate(
         overlap_frac = overlapping / len(pairs)
         c1 = 2 if overlap_frac >= 0.6 else 1 if overlap_frac >= 0.3 else 0
 
-    marker_c2 = sum(1 for t in turns if _has_any(t.text, rules.mirror))
+    marker_c2 = sum(1 for t in turns if _has_any(t.text, MIRROR_MARKERS))
     marker_score = 2 if marker_c2 >= 2 else 1 if marker_c2 == 1 else 0
     echo_hits = sum(
         1
@@ -217,7 +221,7 @@ def reference_auto_annotate(
     echo_score = 2 if echo_frac >= 0.5 else 1 if echo_frac >= 0.25 else 0
     c2 = max(marker_score, echo_score)
 
-    if any(_has_any(t.text, rules.repair) for t in turns):
+    if any(_has_any(t.text, REPAIR_MARKERS) for t in turns):
         c3 = 2
     elif overlap_frac >= 0.3:
         c3 = 1
@@ -242,6 +246,20 @@ def reference_auto_annotate(
         context=(c1, c2, c3, c4),
     )
     return AnnotatedSubScores(subscores=sub, confidence=dict(CONFIDENCE))
+
+
+def is_closed_loop(graph: ResponsibilityGraph, sequence: list[str]) -> bool:
+    """Does ``sequence`` trace an elementary closed loop, edge by edge?
+
+    Requires an edge from each element to the next and from the last back to
+    the first, so a one-element sequence needs a self-edge. Repeated nodes
+    make the sequence non-elementary, which is rejected.
+    """
+    if not sequence or len(set(sequence)) != len(sequence):
+        return False
+    pairs = {(e.source, e.target) for e in graph.edges}
+    n = len(sequence)
+    return all((sequence[i], sequence[(i + 1) % n]) in pairs for i in range(n))
 
 
 def make_graph(nodes: list[str], pairs: list[tuple[str, str]]) -> ResponsibilityGraph:

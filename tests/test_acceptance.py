@@ -267,7 +267,9 @@ def test_criterion_7_drift_boundaries():
 
 def test_criterion_8_dsl_round_trip_and_service():
     registry = load_registry()
-    surfaces = sorted(GCodeTag(dim, value).surface for dim, value in registry.all_tags())
+    surfaces = sorted(
+        GCodeTag(dim, value).surface for dim, values in registry.vocab.items() for value in values
+    )
     round_trip_ok = all(parse_tag(parse_tag(s).surface).surface == s for s in surfaces)
     count_ok = len(surfaces) >= 17  # every registered tag; registry carries 19
 

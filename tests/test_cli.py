@@ -226,3 +226,55 @@ def test_missing_task_is_validation_error(tmp_path):
 def test_bad_invocations_exit_2(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("edges", [[1], [["a", "b"]], [None]], ids=["number", "array", "null"])
+def test_graph_with_non_object_edge_exits_2(tmp_path, edges):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"nodes": ["a", "b"], "edges": edges}))
+    proc = run_cli("graph", str(path))
+    assert proc.returncode == 2
+    assert "MalformedJson" in proc.stderr
+
+
+def _subscores_file(tmp_path, doc):
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+SUBSCORES = {"pragmatic": [1, 1, 1, 1], "responsibility": [0, 1, 0, 1], "context": [2, 2, 2, 3]}
+
+
+def test_score_case_unknown_function_role_exits_2(tmp_path):
+    path = _subscores_file(tmp_path, dict(SUBSCORES, function_roles=["clarifier", "oracle"]))
+    proc = run_cli("score-case", path)
+    assert proc.returncode == 2
+    assert "InvalidRequest" in proc.stderr
+
+
+def test_score_case_function_roles_string_exits_2(tmp_path):
+    path = _subscores_file(tmp_path, dict(SUBSCORES, function_roles="clarifier"))
+    proc = run_cli("score-case", path)
+    assert proc.returncode == 2
+    assert "InvalidRequest" in proc.stderr
+
+
+def test_score_case_non_object_document_exits_2(tmp_path):
+    proc = run_cli("score-case", _subscores_file(tmp_path, "pragmatic responsibility context"))
+    assert proc.returncode == 2
+    assert "RangeViolation" in proc.stderr
+
+
+def test_annotate_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_text('{"speaker": "a", "text": "café", "turn_role": "user"}\n', encoding="latin-1")
+    proc = run_cli("annotate", str(path))
+    assert proc.returncode == 2
+    assert "MalformedJson" in proc.stderr
+
+
+def test_stats_non_finite_mean_exits_2():
+    proc = run_cli("stats", "--a", "2,nan,1", "--b", "10,4,1")
+    assert proc.returncode == 2
+    assert "RangeViolation" in proc.stderr

@@ -9,14 +9,13 @@ from pathlib import Path
 import pytest
 
 from msa.errors import CorruptFixture
-from msa.fixtures import FIXTURE_CASES, load_fixture, load_fixtures
+from msa.fixtures import FIXTURE_CASES, load_fixture
 
 EXPECTED_TURNS = {"case1": 9, "case2": 4, "case3": 6, "case4": 6}
 
 
 def test_all_cases_load():
-    cases = load_fixtures()
-    assert set(cases) == set(FIXTURE_CASES)
+    assert [load_fixture(case_id).case_id for case_id in FIXTURE_CASES] == list(FIXTURE_CASES)
 
 
 @pytest.mark.parametrize("case_id", FIXTURE_CASES)

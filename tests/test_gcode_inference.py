@@ -16,7 +16,7 @@ from helpers import make_transcript
 def test_default_rule_marks_questions_neutral():
     context = make_transcript([("u", "Could you check the logs?", "user")])
     out = infer_tags(context, SpeakerModuleConfig())
-    assert out.get(Dimension.TONE).value == "NEUTRAL"
+    assert out.to_keyed_object()["tone"] == "NEUTRAL"
 
 
 def test_no_match_keeps_previous_tags():
@@ -30,8 +30,8 @@ def test_match_overrides_only_named_dimension():
     prev = parse_tag_list(["#T_HIGHASSERT", "#C_CUT"])
     context = make_transcript([("u", "Are the logs clean?", "user")])
     out = infer_tags(context, prev)
-    assert out.get(Dimension.TONE).value == "NEUTRAL"
-    assert out.get(Dimension.CLOSURE).value == "CUT"
+    assert out.to_keyed_object()["tone"] == "NEUTRAL"
+    assert out.to_keyed_object()["closure"] == "CUT"
 
 
 def test_only_final_turn_is_inspected():
@@ -39,7 +39,7 @@ def test_only_final_turn_is_inspected():
         [("u", "Why though?", "user"), ("a", "Because of the retry loop.", "assistant")]
     )
     out = infer_tags(context, parse_tag_list(["#T_ASSERTIVE"]))
-    assert out.get(Dimension.TONE).value == "ASSERTIVE"
+    assert out.to_keyed_object()["tone"] == "ASSERTIVE"
 
 
 def test_empty_context_raises():
@@ -61,7 +61,7 @@ def test_later_rules_win(tmp_path):
     rules = load_inference_rules(rules_path)
     context = make_transcript([("u", "You deleted it?!", "user")])
     out = infer_tags(context, SpeakerModuleConfig(), rules)
-    assert out.get(Dimension.TONE).value == "HIGHASSERT"
+    assert out.to_keyed_object()["tone"] == "HIGHASSERT"
 
 
 def test_rule_file_validation(tmp_path):

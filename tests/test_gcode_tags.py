@@ -29,11 +29,13 @@ from msa.gcode.tags import (
 
 REGISTRY = load_registry()
 
-ALL_SURFACES = sorted(GCodeTag(dim, value).surface for dim, value in REGISTRY.all_tags())
+ALL_SURFACES = sorted(
+    GCodeTag(dim, value).surface for dim, values in REGISTRY.vocab.items() for value in values
+)
 
 
 def test_registry_shape():
-    assert REGISTRY.size == 19
+    assert sum(len(values) for values in REGISTRY.vocab.values()) == 19
     assert {d.key for d in Dimension} == {
         "tone",
         "position",
@@ -42,7 +44,7 @@ def test_registry_shape():
         "logical_flow",
         "affective_tension",
     }
-    assert REGISTRY.values_for(Dimension.TONE) == frozenset(
+    assert REGISTRY.vocab[Dimension.TONE] == frozenset(
         {"NEUTRAL", "ASSERTIVE", "SOFTASSERT", "HIGHASSERT"}
     )
 
@@ -103,10 +105,9 @@ def test_keyed_object_form():
     config = config_from_keyed_object(
         {"tone": "SOFTASSERT", "closure": "loop", "POSITION": "selfref"}
     )
-    assert config.get(Dimension.TONE).value == "SOFTASSERT"
-    assert config.get(Dimension.CLOSURE).value == "LOOP"
-    assert config.get(Dimension.POSITION).value == "SELFREF"
-    assert config.get(Dimension.LOGICAL_FLOW) is None
+    assert config.to_keyed_object() == {
+        "tone": "SOFTASSERT", "closure": "LOOP", "position": "SELFREF"
+    }
 
 
 def test_keyed_object_rejects_unknown_key_and_value():

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from msa.errors import GraphTooLarge, MalformedJson, UnknownSpeaker
-from msa.msl.cycles import cyclic_components, detect_closed_loops, is_closed_loop
+from msa.msl.cycles import cyclic_components, detect_closed_loops
 from msa.msl.graph import (
     ResponsibilityEdge,
     ResponsibilityGraph,
     detect_partial_drift,
     transitive_closure,
 )
-from helpers import make_graph
+from helpers import is_closed_loop, make_graph
 
 
 def test_parallel_and_self_edges_are_legal():
@@ -29,11 +29,6 @@ def test_edge_order_is_preserved():
 def test_rejects_empty_speaker():
     with pytest.raises(UnknownSpeaker):
         ResponsibilityEdge(source="", target="b", utterance_index=0)
-
-
-def test_json_round_trip():
-    g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert ResponsibilityGraph.from_dict(g.to_dict()) == g
 
 
 def test_from_dict_rejects_dangling_endpoint():

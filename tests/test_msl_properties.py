@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msa.msl.cycles import detect_closed_loops, is_closed_loop
+from msa.msl.cycles import detect_closed_loops
 from msa.msl.graph import detect_partial_drift
 from msa.service import analyze_graph_report
-from helpers import brute_force_drift, brute_force_loops, make_graph
+from helpers import brute_force_drift, brute_force_loops, is_closed_loop, make_graph
 
 NODE_POOL = ["a", "b", "c", "d", "e", "f", "g", "h"]
 

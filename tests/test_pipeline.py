@@ -51,7 +51,7 @@ def test_no_drift_on_coherent_turns():
     )
     result = run_pipeline(ctx, parse_tag_list(["#T_NEUTRAL"]), STUB)
     assert result.drift is not None
-    assert not result.drift_flag
+    assert not result.drift.drifted
     assert "(please confirm first:" not in result.directives
 
 
@@ -63,7 +63,7 @@ def test_drift_appends_realignment_to_directives():
         ]
     )
     result = run_pipeline(ctx, parse_tag_list(["#T_NEUTRAL"]), STUB)
-    assert result.drift_flag
+    assert result.drift.drifted
     assert result.directives == (
         "[TONE=NEUTRAL] (please confirm first: 'Lunch options nearby include ramen.')"
     )
@@ -74,7 +74,6 @@ def test_single_turn_context_skips_drift():
     ctx = make_transcript([("u", "Only one turn here.", "user")])
     result = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
     assert result.drift is None
-    assert not result.drift_flag
 
 
 def test_commitments_folded_including_reply():

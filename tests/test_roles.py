@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from msa.dialogue.roles import (
-    DEFAULT_ROLE_POLICY,
-    RolePolicy,
-    RoleRule,
-    TransitionVerdict,
-    assign_role,
-    monitor_role_transition,
-)
+from msa.dialogue.roles import assign_role
 from msa.dialogue.transcript import PragmaticRole
 from helpers import make_transcript
 
@@ -49,28 +42,7 @@ def test_default_policy_classification(text, role):
 
 
 def test_first_match_wins():
-    # question mark beats the acceptor phrase because the '?' rule is first
+    # question mark beats the acceptor phrase because the '?' cue is first
     ctx = make_transcript([("u", "I will fix it, ok?", "user")])
-    assert assign_role(ctx, DEFAULT_ROLE_POLICY)[1] == PragmaticRole.CLARIFIER
+    assert assign_role(ctx)[1] == PragmaticRole.CLARIFIER
 
-
-def test_custom_policy():
-    policy = RolePolicy(
-        rules=(RoleRule(kind="contains_phrase", args=("veto",), role=PragmaticRole.CHALLENGER),),
-        default=PragmaticRole.EVADER,
-    )
-    assert policy.classify("I veto that") == PragmaticRole.CHALLENGER
-    assert policy.classify("sure, whatever") == PragmaticRole.EVADER
-
-
-def test_monitor_role_transition():
-    same = monitor_role_transition(PragmaticRole.CLARIFIER, PragmaticRole.CLARIFIER)
-    assert same == TransitionVerdict.SMOOTH
-    caused = monitor_role_transition(
-        PragmaticRole.CLARIFIER, PragmaticRole.CHALLENGER, cause="direct question"
-    )
-    assert caused == TransitionVerdict.SMOOTH
-    flagged = monitor_role_transition(
-        PragmaticRole.CLARIFIER, PragmaticRole.CHALLENGER, cause=None
-    )
-    assert flagged == TransitionVerdict.FLAGGED

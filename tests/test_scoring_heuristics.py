@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -11,12 +10,7 @@ from msa.errors import EmptyContext
 from msa.fixtures import load_fixture
 from msa.msl.rules import OpCounter
 from msa.scoring import heuristics
-from msa.scoring.heuristics import (
-    DEFAULT_RUBRIC_RULES,
-    RubricRuleSet,
-    auto_annotate,
-    heuristic_score,
-)
+from msa.scoring.heuristics import auto_annotate, heuristic_score
 from helpers import make_transcript, reference_auto_annotate
 
 
@@ -147,21 +141,15 @@ def test_annotate_empty_rejected():
 
 # --- advisory annotator against the rescan-every-block oracle ---
 
-MARKER_PHRASES = sorted(
-    {m for f in fields(RubricRuleSet) for m in getattr(DEFAULT_RUBRIC_RULES, f.name)}
-)
+MARKER_PHRASES = sorted({
+    marker
+    for family in (heuristics.CASUAL_MARKERS, heuristics.BLUR_MARKERS,
+                   heuristics.ATTRIBUTION_MARKERS, heuristics.CONTINUITY_MARKERS,
+                   heuristics.TRANSFER_MARKERS, heuristics.EVASIVE_MARKERS,
+                   heuristics.MIRROR_MARKERS, heuristics.REPAIR_MARKERS)
+    for marker in family
+})
 FILLER = ("budget", "plan", "the deadline", "I", "we", "ok", "review", "tomorrow", "?", ".")
-CUSTOM_RULES = RubricRuleSet(
-    casual=("a.b", "(x)"),
-    blur=("plan?", "LOL"),  # upper case never matches the lowered text
-    attribution=("i",),
-    continuity=("budget",),
-    transfer=("[over]",),
-    evasive=("*", "wait,"),
-    mirror=("review", "a|b"),
-    repair=("\\",),
-)
-EMPTY_FAMILIES = RubricRuleSet(casual=(), blur=(), transfer=(), repair=())
 
 
 def _random_turn(rng: random.Random, alphabet: tuple[str, ...]) -> str:
@@ -170,23 +158,21 @@ def _random_turn(rng: random.Random, alphabet: tuple[str, ...]) -> str:
     return text + rng.choice(("", ".", "!", "?", "…", " "))
 
 
-def _assert_matches_oracle(rows, rules=DEFAULT_RUBRIC_RULES):
+def _assert_matches_oracle(rows):
     for k in range(1, len(rows) + 1):
         prefix = dialog(*rows[:k])
-        assert auto_annotate(prefix, rules) == reference_auto_annotate(prefix, rules), rows[:k]
+        assert auto_annotate(prefix) == reference_auto_annotate(prefix), rows[:k]
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("rules", [DEFAULT_RUBRIC_RULES, CUSTOM_RULES, EMPTY_FAMILIES],
-                         ids=["default", "custom", "empty-families"])
-def test_annotate_matches_oracle_on_every_prefix(seed, rules):
+@pytest.mark.parametrize("seed", range(4), ids=lambda seed: f"default-{seed}")
+def test_annotate_matches_oracle_on_every_prefix(seed):
     rng = random.Random(seed)
     alphabet = tuple(MARKER_PHRASES) + FILLER + ("a.b", "(x)", "[over]", "*", "a|b", "\\")
     for _ in range(60):
         speakers = rng.sample(("a", "b", "c"), rng.randint(1, 3))
         rows = [(rng.choice(speakers), _random_turn(rng, alphabet), "user")
                 for _ in range(rng.randint(1, 10))]
-        _assert_matches_oracle(rows, rules)
+        _assert_matches_oracle(rows)
 
 
 def test_annotate_single_turn_matches_oracle():
@@ -200,23 +186,6 @@ def test_annotate_single_speaker_matches_oracle():
             ("a", "over to you", "user")]
     _assert_matches_oracle(rows)
     assert auto_annotate(dialog(*rows)).subscores.context[3] == 0
-
-
-def test_annotate_custom_rules_escape_regex_metacharacters():
-    rows = [("a", "see a.b and (x) here.", "user"), ("b", "axb and x only.", "assistant")]
-    out = auto_annotate(dialog(*rows), CUSTOM_RULES)
-    assert out == reference_auto_annotate(dialog(*rows), CUSTOM_RULES)
-    assert out.subscores.pragmatic[0] == 1  # casual, then sober: one style flip
-
-
-def test_annotate_empty_marker_family_never_hits():
-    rows = [("a", "lol kinda whatever, over to you", "user"),
-            ("b", "we're off topic, i guess", "assistant")]
-    out = auto_annotate(dialog(*rows), EMPTY_FAMILIES)
-    assert out == reference_auto_annotate(dialog(*rows), EMPTY_FAMILIES)
-    assert out.subscores.pragmatic[3] == 3  # no blur hits
-    assert out.subscores.responsibility[2] != 2  # no transfer hits
-    assert out.subscores.context[2] != 2  # no repair hits
 
 
 @pytest.mark.parametrize("n_turns", [6, 600])

@@ -250,3 +250,28 @@ def test_stub_generation_handles_unicode():
         status, reply = post_json(port, "/generate_with_speaker_module", body)
     assert status == 200
     assert "it’s nuanced" in reply["output"]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[1], [["a", "b"]], [None], [{"from": "a", "to": "b", "utterance_index": True}]],
+    ids=["number", "array", "null", "boolean-index"],
+)
+def test_analyze_graph_rejects_bad_edges(edges):
+    with running_server() as port:
+        status, body = post_json(port, "/analyze_graph", {"nodes": ["a", "b"], "edges": edges})
+    assert status == 400
+    assert body["code"] == "MalformedJson"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("speaker", ["a"]), ("text", {"x": 1}), ("turn_role", 1), ("index", True)],
+)
+def test_annotate_rejects_non_string_turn_fields(field, value):
+    row = {"speaker": "a", "text": "The deploy is done.", "turn_role": "user", "index": 0}
+    with running_server() as port:
+        status, body = post_json(port, "/annotate", {"turns": [dict(row, **{field: value})]})
+    assert status == 400
+    assert body["code"] == "InvalidRequest"
+    assert field in body["message"]

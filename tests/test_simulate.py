@@ -62,7 +62,7 @@ def test_task_rejects_bad_profile():
 def test_round_trip_object_form(tmp_path):
     task = MultiSpeakerTask.from_obj(TASK_OBJ)
     path = tmp_path / "task.json"
-    path.write_text(json.dumps(task.to_obj()), encoding="utf-8")
+    path.write_text(json.dumps(TASK_OBJ), encoding="utf-8")
     assert load_task(path) == task
 
 
@@ -116,7 +116,8 @@ def test_directive_profiles_reach_the_stub():
     assert "[TONE=NEUTRAL]" in by_speaker["speaker_A"]
 
 
-def test_pipeline_credits_the_real_speaker(monkeypatch):
+def _record_pipeline_results(monkeypatch) -> list:
+    """Wrap simulate's run_pipeline; the returned list fills with its results."""
     results = []
     run_pipeline = msa.simulate.run_pipeline
 
@@ -125,6 +126,11 @@ def test_pipeline_credits_the_real_speaker(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(msa.simulate, "run_pipeline", recording)
+    return results
+
+
+def test_pipeline_credits_the_real_speaker(monkeypatch):
+    results = _record_pipeline_results(monkeypatch)
     task = MultiSpeakerTask.from_obj(dict(TASK_OBJ, task="We will decide who owns the rollout."))
     simulate(task, STUB, turns=6, seed=0)
     speakers = set(task.speakers)
@@ -156,3 +162,22 @@ def test_long_stub_simulation_grows_linearly():
     })
     transcript = simulate(task, _GrowthGuard(max_growth=400), turns=200, seed=0)
     assert len(transcript.turns) == 201
+
+
+class _Scripted:
+    """Client that plays back fixed replies in order."""
+
+    def __init__(self, replies) -> None:
+        self.replies = iter(replies)
+
+    def generate(self, directives, context):
+        return next(self.replies)
+
+
+def test_tokenless_reply_skips_the_next_drift_check(monkeypatch):
+    results = _record_pipeline_results(monkeypatch)
+    replies = ["I will draft the exam plan.", "...", "The exam plan is drafted."]
+    transcript = simulate(MultiSpeakerTask.from_obj(TASK_OBJ), _Scripted(replies), turns=3)
+    assert [t.text for t in transcript.turns[1:]] == replies
+    assert results[1].drift is not None
+    assert results[2].drift is None  # its context ends with "...", which has no tokens

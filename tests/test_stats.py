@@ -94,6 +94,13 @@ def test_group_validation():
         GroupStats(n=10, mean=5.0, std_dev=-0.1)
 
 
+@pytest.mark.parametrize("mean,std_dev", [(math.nan, 1.0), (math.inf, 1.0), (5.0, math.nan),
+                                          (5.0, math.inf)])
+def test_group_rejects_non_finite_values(mean, std_dev):
+    with pytest.raises(RangeViolation):
+        GroupStats(n=10, mean=mean, std_dev=std_dev)
+
+
 def test_parse_triplet():
     g = GroupStats.parse("1102,7.8,0.57")
     assert (g.n, g.mean, g.std_dev) == (1102, 7.8, 0.57)

@@ -1,0 +1,73 @@
+"""Every public function, class and method in src/msa has a caller or a documented surface.
+
+A definition counts as used when its name is loaded or read as an attribute
+somewhere in src/msa outside its own body, or when README.md or
+docs/formats.md names it. Imports and ``__all__`` entries do not count, so a
+name kept alive only by a re-export fails here. Matching is by name, so a
+method that shares its name with a used one (``to_dict``, ``get``) is not
+caught.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "msa"
+
+# Called by http.server itself, never by name from src/.
+EXEMPT = {
+    "MsaRequestHandler.do_GET": "BaseHTTPRequestHandler dispatches GET requests to it",
+    "MsaRequestHandler.do_POST": "BaseHTTPRequestHandler dispatches POST requests to it",
+    "MsaRequestHandler.log_message": "BaseHTTPRequestHandler calls it for every request log line",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) for module-level functions and classes and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def unused_public_names() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.rglob("*.py")}
+    references: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for name, node in _references(tree):
+            references.setdefault(name, []).append(node)
+    documented = (ROOT / "README.md").read_text(encoding="utf-8") + (
+        ROOT / "docs" / "formats.md"
+    ).read_text(encoding="utf-8")
+
+    unused = []
+    for path, tree in sorted(trees.items()):
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if name.startswith("_") or qualname in EXEMPT:
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if any(id(ref) not in own for ref in references.get(name, ())):
+                continue
+            if re.search(rf"\b{re.escape(name)}\b", documented):
+                continue
+            unused.append(f"{path.relative_to(SRC)}: {qualname}")
+    return unused
+
+
+def test_every_public_name_has_a_caller_or_documentation():
+    assert unused_public_names() == []
