@@ -73,6 +73,13 @@ def resolve_setting(name: str, flag_value: str | None, config: dict[str, str]) -
     return DEFAULTS[name]
 
 
+def _port(raw: str) -> int:
+    text = raw.strip()
+    if not (text.isascii() and text.isdigit() and len(text) <= 5) or int(text) > 65535:
+        raise InvalidRequest(f"port must be an integer from 0 to 65535, got {raw!r}")
+    return int(text)
+
+
 def _speaker_module_from_text(text: str) -> SpeakerModuleConfig:
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
@@ -196,7 +203,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     host = resolve_setting("host", args.host, config)
-    port = int(resolve_setting("port", args.port, config))
+    port = _port(resolve_setting("port", args.port, config))
     llm_name = resolve_setting("llm", args.llm, config)
     llm = client_from_name(llm_name)
     print(f"listening on http://{host}:{port}", file=sys.stderr)

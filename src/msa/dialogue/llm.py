@@ -10,7 +10,8 @@ JSON-over-HTTP contract and is configured from the environment:
     MSA_LLM_TOKEN      bearer token, sent when present
 
 Request body: {"model": ..., "directives": ..., "messages": [{"role",
-"content"}, ...]}. Expected response body: {"output": "..."}.
+"content"}, ...]}. Expected response body: {"output": "..."}; a missing or
+empty "output" is LlmUnavailable.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class RemoteLlmClient:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     body = json.loads(response.read().decode("utf-8"))
                     output = body.get("output")
-                    if not isinstance(output, str):
-                        raise LlmUnavailable(f"backend returned no 'output' field: {body!r}")
+                    if not isinstance(output, str) or not output:
+                        raise LlmUnavailable(f"backend returned no 'output' text: {body!r}")
                     return output
             except (socket.timeout, TimeoutError) as exc:
                 last_error, timed_out = exc, True

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import EmptyContext, EmptyUtterance
+from ..errors import EmptyContext, EmptyUtterance, LlmUnavailable
 from ..gcode.inference import infer_tags
 from ..gcode.tags import SpeakerModuleConfig, build_prompt_directives
 from ..scoring.heuristics import HeuristicScores, heuristic_score
@@ -50,8 +50,9 @@ def run_pipeline(
     """Produce one reply turn and the bookkeeping around it.
 
     The reply is credited to ``speaker``, or to its assigned turn role when
-    no speaker is named. Raises EmptyContext for an empty context; client
-    errors propagate after the client's own retry policy is exhausted.
+    no speaker is named. Raises EmptyContext for an empty context and
+    LlmUnavailable for an empty reply; client errors propagate after the
+    client's own retry policy is exhausted.
     """
     if not context.turns:
         raise EmptyContext("pipeline needs at least one turn of context")
@@ -77,6 +78,8 @@ def run_pipeline(
                 directives = f"{directives} {drift.realignment}" if directives else drift.realignment
 
     reply_text = llm.generate(directives, context)
+    if not reply_text:
+        raise LlmUnavailable(f"client returned an empty reply for turn {context.next_index}")
     reply = DialogueTurn(
         speaker=speaker or turn_role,
         text=reply_text,

@@ -6,7 +6,10 @@ first), parallel edges collapse to one adjacency, and a self-edge counts as a
 length-1 loop. Enumeration uses Johnson's algorithm (D. B. Johnson, "Finding
 all the elementary circuits of a directed graph", SIAM J. Comput. 1975), whose
 work is O((V+E)(C+1)) for V nodes, E edges and C loops: a single ring costs one
-pass. C itself can be exponential in V, so exhaustive mode refuses graphs beyond
+pass. Loops are emitted once each, ordered by length and then by nodes (code
+point order): each anchor's circuits leave the search in lexicographic order,
+and bucketing them by length, anchor by anchor, needs no sort over the loops.
+C itself can be exponential in V, so exhaustive mode refuses graphs beyond
 EXHAUSTIVE_NODE_LIMIT nodes; above the limit callers fall back to
 cyclic_components, which only names the strongly connected components that
 contain a cycle.
@@ -71,19 +74,21 @@ def _tarjan_sccs(adj: Mapping[str, Iterable[str]]) -> list[set[str]]:
     return sccs
 
 
-def detect_closed_loops(graph: ResponsibilityGraph) -> frozenset[tuple[SpeakerId, ...]]:
+def detect_closed_loops(graph: ResponsibilityGraph) -> list[list[SpeakerId]]:
     """Every elementary directed cycle, canonically rotated, exactly once.
 
-    Raises GraphTooLarge when the node count exceeds EXHAUSTIVE_NODE_LIMIT;
-    use cyclic_components for graphs of that size.
+    Loops come ordered by length, then by nodes. Raises GraphTooLarge when
+    the node count exceeds EXHAUSTIVE_NODE_LIMIT; use cyclic_components for
+    graphs of that size.
     """
     if len(graph.nodes) > EXHAUSTIVE_NODE_LIMIT:
         raise GraphTooLarge(
             f"{len(graph.nodes)} nodes exceeds the exhaustive limit of "
             f"{EXHAUSTIVE_NODE_LIMIT}; use cyclic_components instead"
         )
-    adj = graph.adjacency()
-    loops: set[tuple[SpeakerId, ...]] = {(node,) for node in adj if node in adj[node]}
+    successors = graph.adjacency()
+    adj = {node: sorted(succs) for node, succs in successors.items()}
+    by_anchor: dict[SpeakerId, list[list[SpeakerId]]] = {}
 
     # Cycles of length >= 2 live entirely inside one SCC. Anchor each cyclic
     # SCC at its smallest node, which makes every circuit through the anchor
@@ -91,10 +96,17 @@ def detect_closed_loops(graph: ResponsibilityGraph) -> frozenset[tuple[SpeakerId
     # the rest of the SCC again. Each SCC taken from `pending` yields at least
     # one circuit, which is what bounds the work by the number of loops.
     pending = [c for c in _tarjan_sccs(adj) if len(c) > 1]
+    longest = max(map(len, pending), default=1)
     while pending:
         component = pending.pop()
         step = {n: [s for s in adj[n] if s in component and s != n] for n in component}
         anchor = min(component)
+        # Successor lists are sorted and the anchor, the component's smallest
+        # node, leads any list it is in, so a path closes before it is
+        # extended: the search meets the anchor's circuits in lexicographic
+        # order.
+        circuits: list[list[SpeakerId]] = []
+        by_anchor[anchor] = circuits
         # Johnson's blocking: a node stays blocked until a circuit is found
         # through it, or until a node in its wait list (`waits`) is unblocked.
         blocked = {anchor}
@@ -103,10 +115,9 @@ def detect_closed_loops(graph: ResponsibilityGraph) -> frozenset[tuple[SpeakerId
         closed = [False]  # closed[i]: a circuit was found below path[i]
         iters = [iter(step[anchor])]
         while iters:
-            node = path[-1]
             for succ in iters[-1]:
                 if succ == anchor:
-                    loops.add(tuple(path))
+                    circuits.append(path[:])
                     closed[-1] = True
                 elif succ not in blocked:
                     blocked.add(succ)
@@ -116,7 +127,7 @@ def detect_closed_loops(graph: ResponsibilityGraph) -> frozenset[tuple[SpeakerId
                     break
             else:
                 iters.pop()
-                path.pop()
+                node = path.pop()
                 found = closed.pop()
                 if found:
                     release = [node]
@@ -133,7 +144,15 @@ def detect_closed_loops(graph: ResponsibilityGraph) -> frozenset[tuple[SpeakerId
                         waits[succ].add(node)
         rest = {n: [s for s in step[n] if s != anchor] for n in component if n != anchor}
         pending.extend(c for c in _tarjan_sccs(rest) if len(c) > 1)
-    return frozenset(loops)
+
+    # Every loop starts at its anchor, so joining the anchors' lists in anchor
+    # order and bucketing by length gives (length, nodes) order with no sort.
+    buckets: list[list[list[SpeakerId]]] = [[] for _ in range(longest + 1)]
+    buckets[1] = [[node] for node in sorted(n for n, succs in successors.items() if n in succs)]
+    for anchor in sorted(by_anchor):
+        for circuit in by_anchor[anchor]:
+            buckets[len(circuit)].append(circuit)
+    return [loop for bucket in buckets for loop in bucket]
 
 
 def cyclic_components(graph: ResponsibilityGraph) -> frozenset[frozenset[SpeakerId]]:

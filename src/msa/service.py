@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import takewhile
 
 from .dialogue.llm import LlmClient, StubLlmClient
 from .dialogue.transcript import DialogueTurn, Transcript
@@ -55,10 +56,9 @@ def analyze_graph_report(graph: ResponsibilityGraph) -> dict[str, object]:
         report["cyclic_components"] = sorted(sorted(c) for c in cyclic_components(graph))
         report["exhaustive"] = False
     else:
-        ordered = sorted(loops)
-        ordered.sort(key=len)  # stable: by length, then by nodes
-        report["loops"] = [list(loop) for loop in ordered]
-        report["self_retention"] = sorted(loop[0] for loop in loops if len(loop) == 1)
+        report["loops"] = loops  # already by length, then by nodes
+        self_loops = takewhile(lambda loop: len(loop) == 1, loops)  # the length-1 bucket leads
+        report["self_retention"] = [loop[0] for loop in self_loops]
         report["exhaustive"] = True
     report["partial_drift"] = sorted(detect_partial_drift(graph))
     return report

@@ -1,4 +1,4 @@
-"""Shared test helpers: brute-force oracles and small builders.
+"""Shared test helpers: brute-force oracles, small builders and a timer.
 
 The oracles here are deliberately naive. They enumerate candidate answers
 exhaustively and check each one against the raw edge set, so they share no
@@ -7,9 +7,12 @@ code or strategy with the production graph algorithms.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import math
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -33,6 +36,22 @@ from msa.scoring.heuristics import (
 )
 from msa.scoring.rubric import SubScores
 from msa.text import content_tokens
+
+
+def best_seconds(build, repeats: int = 5) -> float:
+    """Fastest of ``repeats`` runs, with the collector paused so that its
+    passes, which fall unevenly across input sizes, do not skew a ratio."""
+    best = math.inf
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            build()
+            best = min(best, time.perf_counter() - started)
+        finally:
+            gc.enable()
+    return best
 
 
 def brute_force_loops(graph: ResponsibilityGraph) -> set[tuple[str, ...]]:
@@ -64,6 +83,11 @@ def brute_force_loops(graph: ResponsibilityGraph) -> set[tuple[str, ...]]:
                 if closed:
                     found.add(seq)
     return found
+
+
+def in_report_order(loops) -> list[list[str]]:
+    """Loops as lists, sorted by length and then by nodes, as the report orders them."""
+    return sorted((list(loop) for loop in loops), key=lambda loop: (len(loop), loop))
 
 
 def brute_force_drift(graph: ResponsibilityGraph) -> set[str]:

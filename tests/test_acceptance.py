@@ -7,7 +7,6 @@ time bounds are stated inline next to each check.
 
 from __future__ import annotations
 
-import gc
 import math
 import random
 import time
@@ -29,8 +28,10 @@ from msa.scoring.rubric import all_totals, shift_rate_percent
 from msa.scoring.stats import GroupStats, mean_confidence_interval, two_sample_t
 from msa.simulate import MultiSpeakerTask, run_simulation_to_file
 from helpers import (
+    best_seconds,
     brute_force_drift,
     brute_force_loops,
+    in_report_order,
     make_graph,
     make_transcript,
     post_json,
@@ -92,7 +93,10 @@ def test_criterion_3_msl_oracle_equivalence():
             for _ in range(rng.randint(0, 16))
         ]
         graph = make_graph(nodes, pairs)
-        if detect_closed_loops(graph) != frozenset(brute_force_loops(graph)):
+        loops = detect_closed_loops(graph)
+        if len({tuple(loop) for loop in loops}) != len(loops):
+            mismatches += 1  # a loop reported twice
+        if loops != in_report_order(brute_force_loops(graph)):
             mismatches += 1
         if detect_partial_drift(graph) != frozenset(brute_force_drift(graph)):
             mismatches += 1
@@ -102,22 +106,6 @@ def test_criterion_3_msl_oracle_equivalence():
         mismatches == 0 and elapsed < 30.0,
         f"{total} graphs, {mismatches} mismatches, {elapsed:.1f}s < 30s",
     )
-
-
-def _best_seconds(build, repeats: int = 5) -> float:
-    """Fastest of ``repeats`` runs, with the collector paused so that its
-    passes, which fall unevenly across input sizes, do not skew a ratio."""
-    best = math.inf
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            started = time.perf_counter()
-            build()
-            best = min(best, time.perf_counter() - started)
-        finally:
-            gc.enable()
-    return best
 
 
 def test_criterion_4_complexity_contracts():
@@ -156,7 +144,7 @@ def test_criterion_4_complexity_contracts():
         for n in (small, large):
             data = make(n)
             assert len(build(data).edges) == n
-            per_edge.append(_best_seconds(lambda: build(data)) / n)
+            per_edge.append(best_seconds(lambda: build(data)) / n)
         ratios[name] = per_edge[1] / per_edge[0]
     linear = all(ratio <= 3.0 for ratio in ratios.values())
 

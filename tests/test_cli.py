@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import msa.cli
 from msa.cli import main
 
 RUN = [sys.executable, "-m", "msa.cli"]
@@ -278,3 +279,47 @@ def test_stats_non_finite_mean_exits_2():
     proc = run_cli("stats", "--a", "2,nan,1", "--b", "10,4,1")
     assert proc.returncode == 2
     assert "RangeViolation" in proc.stderr
+
+
+@pytest.fixture
+def refuse_serve(monkeypatch):
+    """Fail instead of serving, so a port that slips through cannot hang the test."""
+
+    def refuse(*args):
+        raise AssertionError(f"serve started with {args}")
+
+    monkeypatch.setattr(msa.cli, "serve", refuse)
+    monkeypatch.delenv("MSA_PORT", raising=False)
+
+
+BAD_PORTS = ["abc", "", "-1", "65536", "80.5", "٣", pytest.param("9" * 5000, id="5000-digits")]
+
+
+@pytest.mark.parametrize("port", BAD_PORTS)
+def test_serve_bad_port_flag_exits_2(refuse_serve, capsys, port):
+    assert main(["serve", "--port", port]) == 2
+    assert "InvalidRequest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", BAD_PORTS)
+def test_serve_bad_port_env_exits_2(refuse_serve, monkeypatch, capsys, port):
+    monkeypatch.setenv("MSA_PORT", port)
+    assert main(["serve"]) == 2
+    assert "InvalidRequest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", [*BAD_PORTS, 70000, True, None])
+def test_serve_bad_port_config_exits_2(refuse_serve, tmp_path, capsys, port):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"port": port}))
+    assert main(["serve", "--config", str(config)]) == 2
+    assert "InvalidRequest" in capsys.readouterr().err
+
+
+def test_serve_accepts_both_ends_of_the_port_range(monkeypatch):
+    started = []
+    monkeypatch.setattr(msa.cli, "serve", lambda host, port, llm: started.append(port))
+    monkeypatch.delenv("MSA_PORT", raising=False)
+    assert main(["serve", "--port", "0"]) == 0
+    assert main(["serve", "--port", "65535"]) == 0
+    assert started == [0, 65535]

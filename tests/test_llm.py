@@ -59,11 +59,11 @@ class _Script(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/json")
             self.end_headers()
             self.wfile.write(payload.encode())
-        elif mode == "missing-field":
+        elif mode in ("missing-field", "empty-output"):
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.end_headers()
-            self.wfile.write(b'{"unexpected": true}')
+            self.wfile.write(b'{"unexpected": true}' if mode == "missing-field" else b'{"output": ""}')
         else:  # error
             self.send_response(500)
             self.end_headers()
@@ -124,6 +124,14 @@ def test_remote_missing_output_field(fake_endpoint):
     client = _client_for(fake_endpoint, retries=0)
     ctx = make_transcript([("u", "ping", "user")])
     with pytest.raises(LlmUnavailable):
+        client.generate("", ctx)
+
+
+def test_remote_empty_output_is_unavailable(fake_endpoint):
+    fake_endpoint.mode = "empty-output"
+    client = _client_for(fake_endpoint, retries=0)
+    ctx = make_transcript([("u", "ping", "user")])
+    with pytest.raises(LlmUnavailable, match="no 'output' text"):
         client.generate("", ctx)
 
 

@@ -62,27 +62,53 @@ def test_transitive_closure_cycle_reaches_itself():
 
 def test_loop_detection_canonical_rotation():
     g = make_graph(["b", "c", "a"], [("b", "c"), ("c", "a"), ("a", "b")])
-    assert detect_closed_loops(g) == frozenset({("a", "b", "c")})
+    assert detect_closed_loops(g) == [["a", "b", "c"]]
 
 
 def test_loop_detection_self_loop_is_length_one():
     g = make_graph(["a"], [("a", "a")])
-    assert detect_closed_loops(g) == frozenset({("a",)})
+    assert detect_closed_loops(g) == [["a"]]
 
 
 def test_loop_detection_collapses_parallel_edges():
     g = make_graph(["a", "b"], [("a", "b"), ("a", "b"), ("b", "a")])
-    assert detect_closed_loops(g) == frozenset({("a", "b")})
+    assert detect_closed_loops(g) == [["a", "b"]]
 
 
 def test_two_overlapping_loops():
     g = make_graph(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")])
-    assert detect_closed_loops(g) == frozenset({("a", "b"), ("b", "c")})
+    assert detect_closed_loops(g) == [["a", "b"], ["b", "c"]]
 
 
 def test_acyclic_graph_has_no_loops():
     g = make_graph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
-    assert detect_closed_loops(g) == frozenset()
+    assert detect_closed_loops(g) == []
+
+
+def test_loops_from_different_components_mix_inside_a_length_bucket():
+    # Two strongly connected components, {a, c, e} and {b, d}, with
+    # interleaved labels: each length bucket holds loops of both, by anchor.
+    pairs = [("d", "b"), ("b", "d"), ("e", "a"), ("c", "e"), ("a", "c"), ("c", "a")]
+    pairs += [("e", "e"), ("b", "b"), ("d", "d"), ("a", "e")]
+    g = make_graph(["e", "d", "c", "b", "a"], pairs)
+    assert detect_closed_loops(g) == [
+        ["b"], ["d"], ["e"],
+        ["a", "c"], ["a", "e"], ["b", "d"],
+        ["a", "c", "e"],
+    ]
+
+
+def test_loops_follow_code_point_order_not_insertion_order():
+    # "Zed" < "alpha" < "é" by code point; nodes and edges arrive reversed.
+    nodes = ["é", "alpha", "Zed"]
+    pairs = [("é", "é"), ("é", "alpha"), ("alpha", "é"), ("é", "Zed"), ("Zed", "é"),
+             ("alpha", "Zed"), ("alpha", "alpha"), ("Zed", "alpha")]
+    g = make_graph(nodes, pairs)
+    assert detect_closed_loops(g) == [
+        ["alpha"], ["é"],
+        ["Zed", "alpha"], ["Zed", "é"], ["alpha", "é"],
+        ["Zed", "alpha", "é"], ["Zed", "é", "alpha"],
+    ]
 
 
 def test_too_large_graph_raises_and_fallback_works():

@@ -12,15 +12,30 @@ from hypothesis import strategies as st
 from msa.msl.cycles import detect_closed_loops
 from msa.msl.graph import detect_partial_drift
 from msa.service import analyze_graph_report
-from helpers import brute_force_drift, brute_force_loops, is_closed_loop, make_graph
+from helpers import (
+    brute_force_drift,
+    brute_force_loops,
+    in_report_order,
+    is_closed_loop,
+    make_graph,
+)
 
 NODE_POOL = ["a", "b", "c", "d", "e", "f", "g", "h"]
+# Listed out of code-point order, so insertion order and report order differ.
+MIXED_POOL = ["é", "alpha", "Zed", "b", "_", "B", "Ω", "a1"]
+
+
+def assert_loops_match(graph, expected) -> None:
+    """Every loop of ``expected`` exactly once, in report order."""
+    got = detect_closed_loops(graph)
+    assert len({tuple(loop) for loop in got}) == len(got), "a loop is reported twice"
+    assert got == in_report_order(expected)
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, pool=NODE_POOL):
     n = draw(st.integers(min_value=1, max_value=8))
-    nodes = NODE_POOL[:n]
+    nodes = pool[:n]
     m = draw(st.integers(min_value=0, max_value=16))
     pairs = [
         (draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))) for _ in range(m)
@@ -31,7 +46,13 @@ def small_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_graphs())
 def test_loops_match_oracle(graph):
-    assert detect_closed_loops(graph) == frozenset(brute_force_loops(graph))
+    assert_loops_match(graph, brute_force_loops(graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(MIXED_POOL))
+def test_loops_match_oracle_with_labels_out_of_code_point_order(graph):
+    assert_loops_match(graph, brute_force_loops(graph))
 
 
 @settings(max_examples=300, deadline=None)
@@ -53,7 +74,7 @@ def test_loops_invariant_under_edge_order(graph, rng):
 @given(small_graphs())
 def test_every_reported_loop_verifies(graph):
     for loop in detect_closed_loops(graph):
-        assert is_closed_loop(graph, list(loop))
+        assert is_closed_loop(graph, loop)
         assert loop[0] == min(loop)
         assert len(set(loop)) == len(loop)
 
@@ -64,9 +85,8 @@ def test_dense_eight_node_graph_exact():
     nodes = ["a", "b", "c", "d"]
     pairs = [(x, y) for x in nodes for y in nodes if x != y]
     g = make_graph(nodes, pairs)
-    got = detect_closed_loops(g)
-    assert got == frozenset(brute_force_loops(g))
-    assert len(got) == 6 + 8 + 6  # 2-cycles, 3-cycles, 4-cycles
+    assert_loops_match(g, brute_force_loops(g))
+    assert len(detect_closed_loops(g)) == 6 + 8 + 6  # 2-cycles, 3-cycles, 4-cycles
 
 
 def test_thousand_random_graphs_seeded():
@@ -78,7 +98,7 @@ def test_thousand_random_graphs_seeded():
             (rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 16))
         ]
         g = make_graph(nodes, pairs)
-        assert detect_closed_loops(g) == frozenset(brute_force_loops(g))
+        assert_loops_match(g, brute_force_loops(g))
         assert detect_partial_drift(g) == frozenset(brute_force_drift(g))
 
 
@@ -101,16 +121,16 @@ def test_loops_match_networkx_on_graphs_too_big_for_brute_force():
         oracle = nx.DiGraph()
         oracle.add_nodes_from(nodes)
         oracle.add_edges_from(pairs)
-        expected = set()
+        expected = []
         for cycle in nx.simple_cycles(oracle):
             head = cycle.index(min(cycle))
-            expected.add(tuple(cycle[head:] + cycle[:head]))
-        assert detect_closed_loops(make_graph(nodes, pairs)) == frozenset(expected)
+            expected.append(cycle[head:] + cycle[:head])
+        assert_loops_match(make_graph(nodes, pairs), expected)
 
 
 def test_large_ring_is_one_loop():
     graph = _ring(2_000)
-    assert detect_closed_loops(graph) == frozenset({tuple(sorted(graph.nodes))})
+    assert detect_closed_loops(graph) == [sorted(graph.nodes)]
 
 
 def test_ring_enumeration_scales_linearly():
@@ -131,6 +151,27 @@ def test_report_orders_loops_by_length_then_nodes():
     for _ in range(30):
         nodes, pairs = _random_digraph(rng, rng.randint(2, 9), 0.3)
         graph = make_graph(nodes, pairs)
-        loops = [list(loop) for loop in detect_closed_loops(graph)]
-        expected = sorted(loops, key=lambda loop: (len(loop), loop))
-        assert analyze_graph_report(graph)["loops"] == expected
+        loops = detect_closed_loops(graph)
+        report = analyze_graph_report(graph)
+        assert report["loops"] == sorted(loops, key=lambda loop: (len(loop), loop))
+        assert report["self_retention"] == sorted(n for n in nodes if (n, n) in pairs)
+
+
+def test_loops_of_several_components_match_oracle():
+    # Two or three strongly connected components over interleaved labels,
+    # with self-loops, joined by edges that run one way only: anchors from
+    # different components share every length bucket.
+    rng = random.Random(20261019)
+    for _ in range(200):
+        labels = MIXED_POOL[:]
+        rng.shuffle(labels)
+        cut = sorted(rng.sample(range(1, len(labels)), rng.randint(1, 2)))
+        parts = [labels[i:j] for i, j in zip([0] + cut, cut + [len(labels)])]
+        pairs = []
+        for part in parts:
+            pairs += [(part[i], part[(i + 1) % len(part)]) for i in range(len(part))]
+            pairs += [(rng.choice(part), rng.choice(part)) for _ in range(len(part))]
+        for earlier, later in zip(parts, parts[1:]):
+            pairs.append((rng.choice(earlier), rng.choice(later)))
+        graph = make_graph(labels, pairs)
+        assert_loops_match(graph, brute_force_loops(graph))

@@ -8,8 +8,9 @@ import pytest
 
 import msa.simulate
 from msa.dialogue.llm import StubLlmClient
-from msa.errors import InvalidRequest, MalformedJson, UnknownValue
+from msa.errors import InvalidRequest, LlmUnavailable, MalformedJson, UnknownValue
 from msa.simulate import MultiSpeakerTask, load_task, run_simulation_to_file, simulate
+from helpers import best_seconds
 
 STUB = StubLlmClient()
 
@@ -181,3 +182,31 @@ def test_tokenless_reply_skips_the_next_drift_check(monkeypatch):
     assert [t.text for t in transcript.turns[1:]] == replies
     assert results[1].drift is not None
     assert results[2].drift is None  # its context ends with "...", which has no tokens
+
+
+def test_empty_reply_is_the_clients_fault():
+    replies = ["I will draft the exam plan.", ""]
+    with pytest.raises(LlmUnavailable, match="empty reply for turn 2"):
+        simulate(MultiSpeakerTask.from_obj(TASK_OBJ), _Scripted(replies), turns=3)
+
+
+class _Committing:
+    """Scripted client whose every reply opens a new commitment."""
+
+    def generate(self, directives, context):
+        return f"I will draft part {len(context.turns)} of the exam plan."
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="every reply replays the whole context and copies the commitments; "
+    "ROADMAP item 3, the DialogueSession, makes the per-reply cost flat",
+)
+def test_per_reply_cost_is_flat_as_the_transcript_grows():
+    # ROADMAP item 1's ratio gate. A reply should cost the same at any
+    # position; replaying the context makes it grow with the turn count, and
+    # commitment-bearing replies expose the cubic term. It reads about 4x to 8x.
+    task = MultiSpeakerTask.from_obj(TASK_OBJ)
+    short = best_seconds(lambda: simulate(task, _Committing(), turns=50)) / 50
+    long = best_seconds(lambda: simulate(task, _Committing(), turns=200), repeats=3) / 200
+    assert long / short < 2.5, f"{long / short:.1f}x per reply at 200 turns vs 50"
