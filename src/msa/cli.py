@@ -29,6 +29,7 @@ from .gcode.tags import (
     parse_config_document,
     parse_tag_list,
 )
+from .jsonio import parse_json
 from .msl.graph import ResponsibilityGraph
 from .scoring.report import ScoreCard, render_case_table, scorecard_json
 from .scoring.rubric import SubScores, shift_rate_percent
@@ -50,10 +51,7 @@ DEFAULTS = {
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
+    raw = parse_json(Path(path).read_bytes(), path)
     if not isinstance(raw, dict):
         raise MalformedJson(f"{path}: config file must hold a JSON object")
     return {str(k): str(v) for k, v in raw.items()}
@@ -120,10 +118,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    try:
-        raw = json.loads(Path(args.graph).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise MalformedJson(f"{args.graph}: {exc}") from exc
+    raw = parse_json(Path(args.graph).read_bytes(), args.graph)
     graph = ResponsibilityGraph.from_dict(raw)
     report = analyze_graph_report(graph)
     if args.closure:
@@ -140,10 +135,7 @@ def _cmd_score_case(args: argparse.Namespace) -> int:
         fixture = load_fixture(path.stem)
         sub, roles = fixture.subscores, fixture.function_roles
     else:
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise MalformedJson(f"{path}: {exc}") from exc
+        raw = parse_json(path.read_bytes(), str(path))
         sub = SubScores.from_dict(raw)
         roles = _function_roles(raw.get("function_roles", []))
     shift_pct = shift_rate_percent(roles) if len(roles) >= 2 else None

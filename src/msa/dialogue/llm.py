@@ -10,8 +10,8 @@ JSON-over-HTTP contract and is configured from the environment:
     MSA_LLM_TOKEN      bearer token, sent when present
 
 Request body: {"model": ..., "directives": ..., "messages": [{"role",
-"content"}, ...]}. Expected response body: {"output": "..."}; a missing or
-empty "output" is LlmUnavailable.
+"content"}, ...]}. Expected response body: {"output": "..."}; a reply that
+is not a JSON object, or has a missing or empty "output", is LlmUnavailable.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Protocol, TYPE_CHECKING
 
-from ..errors import LlmTimeout, LlmUnavailable
+from ..errors import LlmTimeout, LlmUnavailable, MalformedJson
+from ..jsonio import parse_json
 
 if TYPE_CHECKING:
     from .transcript import Transcript
@@ -86,8 +87,8 @@ class RemoteLlmClient:
             request = urllib.request.Request(self.base_url, data=payload, headers=headers)
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = json.loads(response.read().decode("utf-8"))
-                    output = body.get("output")
+                    body = parse_json(response.read(), "")
+                    output = body.get("output") if isinstance(body, dict) else None
                     if not isinstance(output, str) or not output:
                         raise LlmUnavailable(f"backend returned no 'output' text: {body!r}")
                     return output
@@ -97,7 +98,7 @@ class RemoteLlmClient:
                 if isinstance(exc.reason, (socket.timeout, TimeoutError)):
                     timed_out = True
                 last_error = exc
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, MalformedJson) as exc:
                 last_error = exc
         if timed_out:
             raise LlmTimeout(f"no reply from {self.base_url} in {self.timeout}s") from last_error

@@ -11,8 +11,8 @@ Order of operations, fixed:
 6. fold the reply into the commitment chain
 7. score the extended dialogue with the heuristic triple
 
-Every stage runs with its module's one policy: the bundled inference rules,
-the role cue table, the commitment phrases, and the drift threshold.
+Every stage runs with its module's one policy: the inference cue table, the
+role cue table, the commitment phrases, and the drift threshold.
 Deterministic end to end with the stub client: same context, same previous
 tags, same speaker give byte-identical directives, reply, and scores.
 """

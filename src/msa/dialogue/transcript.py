@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ..errors import InvalidRequest, MalformedJson
+from ..jsonio import parse_json
 
 TURN_ROLES = ("user", "assistant", "system")
 
@@ -120,11 +121,9 @@ def load_transcript_jsonl(path: str | Path) -> Transcript:
         try:
             for lineno, line in enumerate(handle, start=1):
                 if line.strip():
-                    rows.append(json.loads(line))
+                    rows.append(parse_json(line, f"{path}:{lineno}"))
         except UnicodeDecodeError as exc:
             raise MalformedJson(f"{path}: not UTF-8: {exc}") from exc
-        except ValueError as exc:
-            raise MalformedJson(f"{path}:{lineno}: {exc}") from exc
     return Transcript.from_dicts(rows)
 
 

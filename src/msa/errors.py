@@ -41,10 +41,6 @@ class MalformedJson(MsaError):
     pass
 
 
-class RegistryError(MsaError):
-    pass
-
-
 # --- responsibility graph ---
 
 class UnknownSpeaker(MsaError):

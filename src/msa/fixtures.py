@@ -8,13 +8,13 @@ into evaluation.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .dialogue.transcript import PragmaticRole, Transcript
 from .errors import CorruptFixture
+from .jsonio import parse_json
 from .scoring.rubric import SubScores
 
 FIXTURE_CASES = ("case1", "case2", "case3", "case4")
@@ -38,8 +38,7 @@ def _read_bytes(name: str, base_dir: Path | None) -> bytes:
 
 
 def _checksums(base_dir: Path | None) -> dict[str, str]:
-    raw = _read_bytes("checksums.json", base_dir)
-    return json.loads(raw.decode("utf-8"))
+    return parse_json(_read_bytes("checksums.json", base_dir), "checksums.json")
 
 
 def _verified(name: str, expected_sha: str, base_dir: Path | None) -> bytes:
@@ -58,13 +57,13 @@ def load_fixture(case_id: str, base_dir: Path | None = None) -> CaseFixture:
 
     jsonl_name = f"{case_id}.jsonl"
     rows = []
-    for line in _verified(jsonl_name, sums[jsonl_name], base_dir).decode("utf-8").splitlines():
+    for line in _verified(jsonl_name, sums[jsonl_name], base_dir).split(b"\n"):
         if line.strip():
-            rows.append(json.loads(line))
+            rows.append(parse_json(line, jsonl_name))
     transcript = Transcript.from_dicts(rows)
 
     sub_name = f"{case_id}.subscores.json"
-    sub_raw = json.loads(_verified(sub_name, sums[sub_name], base_dir).decode("utf-8"))
+    sub_raw = parse_json(_verified(sub_name, sums[sub_name], base_dir), sub_name)
     subscores = SubScores.from_dict(sub_raw)
     roles = tuple(PragmaticRole(r) for r in sub_raw.get("function_roles", []))
     return CaseFixture(

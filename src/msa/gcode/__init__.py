@@ -1,13 +1,8 @@
 """Pragmatic control tag language: parse, canonicalize, compile, infer."""
 
 from .dimensions import DIMENSION_BY_KEY, DIMENSION_BY_PREFIX, DIMENSION_ORDER, Dimension
-from .inference import (
-    InferenceRule,
-    default_inference_rules,
-    infer_tags,
-    load_inference_rules,
-)
-from .registry import TagRegistry, load_registry
+from .inference import INFERENCE_CUES, default_inference_rules, infer_tags
+from .registry import VOCABULARY, TagRegistry, load_registry
 from .tags import (
     GCodeTag,
     SpeakerModuleConfig,
@@ -25,14 +20,14 @@ __all__ = [
     "DIMENSION_ORDER",
     "Dimension",
     "GCodeTag",
-    "InferenceRule",
+    "INFERENCE_CUES",
     "SpeakerModuleConfig",
     "TagRegistry",
+    "VOCABULARY",
     "build_prompt_directives",
     "config_from_keyed_object",
     "default_inference_rules",
     "infer_tags",
-    "load_inference_rules",
     "load_registry",
     "parse_config_document",
     "parse_tag",

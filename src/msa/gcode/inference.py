@@ -1,110 +1,48 @@
-"""Rule-driven tag inference from dialogue context.
+"""Tag inference from dialogue context, driven by the ``INFERENCE_CUES`` table.
 
-Rules are data, not code: an ordered JSON array of predicate rows. Each rule
-that matches the final turn of the context overrides or adds one tag. Later
-rules win over earlier ones. Inference never removes a dimension already
-present in the previous configuration.
+Each cue row names phrases and the tag they set. Every row whose phrases the
+final turn of the context contains sets its tag, in table order, so a later
+row wins over an earlier one on the same dimension. Inference never removes a
+dimension already present in the previous configuration.
 
-The shipped default maps interrogative final turns to TONE=NEUTRAL. The
-response tone for questions is a registry choice, so deployments can retarget
-it by editing the rule file rather than the code.
+The one shipped cue maps interrogative final turns to TONE=NEUTRAL.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
-from typing import Sequence, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from ..errors import EmptyContext, MalformedJson, UnknownValue
-from .dimensions import DIMENSION_BY_KEY, Dimension
-from .registry import TagRegistry, load_registry
+from ..errors import EmptyContext
+from .dimensions import Dimension
 from .tags import GCodeTag, SpeakerModuleConfig
 
 if TYPE_CHECKING:
     from ..dialogue.transcript import Transcript
 
-PREDICATES = ("contains_char", "ends_with")
+# (phrases, dimension, value) rows; phrases match as case-sensitive
+# substrings, and every value is registered for its dimension.
+INFERENCE_CUES: tuple[tuple[tuple[str, ...], Dimension, str], ...] = (
+    (("?",), Dimension.TONE, "NEUTRAL"),
+)
 
 
-@dataclass(frozen=True)
-class InferenceRule:
-    predicate: str
-    arg: str
-    dimension: Dimension
-    value: str
-
-    def matches(self, text: str) -> bool:
-        if self.predicate == "contains_char":
-            return self.arg in text
-        return text.rstrip().endswith(self.arg)
+def default_inference_rules() -> tuple[tuple[tuple[str, ...], Dimension, str], ...]:
+    """The cue rows ``infer_tags`` applies, in order."""
+    return INFERENCE_CUES
 
 
-def _rule_from_obj(obj: object, registry: TagRegistry) -> InferenceRule:
-    if not isinstance(obj, dict):
-        raise MalformedJson(f"inference rule must be an object, got {type(obj).__name__}")
-    predicate = obj.get("predicate")
-    if predicate not in PREDICATES:
-        raise MalformedJson(f"unknown inference predicate {predicate!r}")
-    arg = obj.get("arg")
-    if not isinstance(arg, str) or not arg:
-        raise MalformedJson(f"inference rule arg must be a non-empty string, got {arg!r}")
-    dimension = DIMENSION_BY_KEY.get(str(obj.get("dimension")).lower())
-    if dimension is None:
-        raise MalformedJson(f"unknown dimension {obj.get('dimension')!r} in inference rule")
-    value = str(obj.get("value")).upper()
-    if not registry.is_registered(dimension, value):
-        raise UnknownValue(f"inference rule value {obj.get('value')!r} not registered")
-    return InferenceRule(predicate=predicate, arg=arg, dimension=dimension, value=value)
-
-
-def load_inference_rules(
-    path: str | Path | None = None, registry: TagRegistry | None = None
-) -> tuple[InferenceRule, ...]:
-    """Load ordered inference rules from ``path``, or the bundled default."""
-    reg = registry or load_registry()
-    if path is None:
-        text = (resources.files("msa.data") / "inference_rules.json").read_text("utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:
-        raise MalformedJson(str(exc)) from exc
-    if not isinstance(raw, list):
-        raise MalformedJson("inference rules file must hold a JSON array")
-    return tuple(_rule_from_obj(row, reg) for row in raw)
-
-
-_default_rules: tuple[InferenceRule, ...] | None = None
-
-
-def default_inference_rules() -> tuple[InferenceRule, ...]:
-    global _default_rules
-    if _default_rules is None:
-        _default_rules = load_inference_rules()
-    return _default_rules
-
-
-def infer_tags(
-    context: "Transcript",
-    prev: SpeakerModuleConfig,
-    rules: Sequence[InferenceRule] | None = None,
-) -> SpeakerModuleConfig:
+def infer_tags(context: "Transcript", prev: SpeakerModuleConfig) -> SpeakerModuleConfig:
     """Derive the next tag configuration from context.
 
-    Starts from ``prev`` and applies every matching rule, in order, against
+    Starts from ``prev`` and applies every matching cue, in order, against
     the text of the final turn. Raises EmptyContext when there is no turn to
     inspect.
     """
     if not context.turns:
         raise EmptyContext("tag inference needs at least one turn of context")
-    active = default_inference_rules() if rules is None else tuple(rules)
     last_text = context.turns[-1].text
     config = prev
-    for rule in active:
-        if rule.matches(last_text):
-            config = config.with_tag(GCodeTag(dimension=rule.dimension, value=rule.value))
+    for phrases, dimension, value in default_inference_rules():
+        if any(phrase in last_text for phrase in phrases):
+            config = config.with_tag(GCodeTag(dimension=dimension, value=value))
     return config

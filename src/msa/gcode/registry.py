@@ -1,20 +1,25 @@
-"""Closed tag vocabulary, loaded from a bundled JSON registry.
+"""The closed tag vocabulary: the values each dimension permits.
 
-The registry file maps each dimension name to the list of permitted values.
-A malformed registry is a startup failure: loading raises RegistryError and
-nothing downstream runs.
+``VOCABULARY`` holds all 19 tag values, in the canonical dimension order, the
+way ``dimensions.py`` holds the prefixes. It is the one copy of the
+vocabulary; the tag parsers check values against it through ``TagRegistry``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 from typing import Mapping
 
-from ..errors import RegistryError
 from .dimensions import Dimension
+
+VOCABULARY: dict[Dimension, tuple[str, ...]] = {
+    Dimension.TONE: ("NEUTRAL", "ASSERTIVE", "SOFTASSERT", "HIGHASSERT"),
+    Dimension.POSITION: ("SELFREF", "DETACH", "SHADOW"),
+    Dimension.CLOSURE: ("LOOP", "CUT", "SINK"),
+    Dimension.CONTEXT_ALIGNMENT: ("MIRROR", "MERGE", "STANDALONE"),
+    Dimension.LOGICAL_FLOW: ("CASCADE", "PIVOT", "SCATTER"),
+    Dimension.AFFECTIVE_TENSION: ("FLAT", "TIGHT", "DRIFT"),
+}
 
 
 @dataclass(frozen=True)
@@ -26,54 +31,10 @@ class TagRegistry:
     def is_registered(self, dimension: Dimension, value: str) -> bool:
         return value in self.vocab[dimension]
 
-    @classmethod
-    def from_mapping(cls, raw: object) -> "TagRegistry":
-        if not isinstance(raw, dict):
-            raise RegistryError("registry must be a JSON object")
-        expected = {dim.name for dim in Dimension}
-        if set(raw) != expected:
-            raise RegistryError(
-                f"registry dimensions {sorted(raw)} != expected {sorted(expected)}"
-            )
-        vocab: dict[Dimension, frozenset[str]] = {}
-        for dim in Dimension:
-            values = raw[dim.name]
-            if not isinstance(values, list) or not values:
-                raise RegistryError(f"{dim.name}: values must be a non-empty list")
-            seen: set[str] = set()
-            for value in values:
-                if not isinstance(value, str) or not value.isalpha() or value != value.upper():
-                    raise RegistryError(
-                        f"{dim.name}: {value!r} is not an uppercase letters-only token"
-                    )
-                if value in seen:
-                    raise RegistryError(f"{dim.name}: duplicate value {value!r}")
-                seen.add(value)
-            vocab[dim] = frozenset(seen)
-        return cls(vocab=vocab)
+
+_REGISTRY = TagRegistry(vocab={dim: frozenset(values) for dim, values in VOCABULARY.items()})
 
 
-_default_registry: TagRegistry | None = None
-
-
-def load_registry(path: str | Path | None = None) -> TagRegistry:
-    """Load a registry from ``path``, or the bundled default when omitted.
-
-    The bundled registry is parsed once and cached; it is read-only for the
-    lifetime of the process.
-    """
-    global _default_registry
-    if path is None:
-        if _default_registry is None:
-            text = (resources.files("msa.data") / "registry.json").read_text("utf-8")
-            _default_registry = _parse(text)
-        return _default_registry
-    return _parse(Path(path).read_text(encoding="utf-8"))
-
-
-def _parse(text: str) -> TagRegistry:
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:
-        raise RegistryError(f"registry is not valid JSON: {exc}") from exc
-    return TagRegistry.from_mapping(raw)
+def load_registry() -> TagRegistry:
+    """The registry over ``VOCABULARY``, built once at import."""
+    return _REGISTRY

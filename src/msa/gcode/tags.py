@@ -8,7 +8,6 @@ of tag surfaces and a keyed object such as ``{"tone": "SOFTASSERT", ...}``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,6 +19,7 @@ from ..errors import (
     UnknownPrefix,
     UnknownValue,
 )
+from ..jsonio import parse_json
 from .dimensions import DIMENSION_BY_KEY, DIMENSION_BY_PREFIX, DIMENSION_ORDER, Dimension
 from .registry import TagRegistry, load_registry
 
@@ -159,11 +159,7 @@ def speaker_module_from_obj(
 
 def parse_config_document(json_text: str, registry: TagRegistry | None = None) -> SpeakerModuleConfig:
     """Parse any accepted JSON document form of a speaker module."""
-    try:
-        obj = json.loads(json_text)
-    except ValueError as exc:
-        raise MalformedJson(str(exc)) from exc
-    return speaker_module_from_obj(obj, registry)
+    return speaker_module_from_obj(parse_json(json_text, ""), registry)
 
 
 def build_prompt_directives(config: SpeakerModuleConfig) -> str:

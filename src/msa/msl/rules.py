@@ -17,12 +17,12 @@ Predicate semantics (a finding marks an utterance that violates the rule):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TYPE_CHECKING
 
 from ..errors import MalformedJson
+from ..jsonio import parse_json
 from ..text import tokenize
 
 if TYPE_CHECKING:
@@ -47,8 +47,8 @@ class ContextRule:
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self) -> None:
-        if not self.rule_id:
-            raise MalformedJson("rule_id must be non-empty")
+        if not isinstance(self.rule_id, str) or not self.rule_id:
+            raise MalformedJson(f"rule_id must be a non-empty string, got {self.rule_id!r}")
         if self.predicate not in PREDICATES:
             raise MalformedJson(f"unknown predicate {self.predicate!r}")
         if self.severity not in SEVERITIES:
@@ -58,8 +58,8 @@ class ContextRule:
                 raise MalformedJson("max-new-token-ratio needs a numeric arg")
         elif not isinstance(self.arg, str) or not self.arg:
             raise MalformedJson(f"{self.predicate} needs a non-empty string arg")
-        if self.window < 1:
-            raise MalformedJson("window must be at least 1")
+        if type(self.window) is not int or self.window < 1:  # bool is an int subclass
+            raise MalformedJson(f"window must be an integer >= 1, got {self.window!r}")
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,7 @@ def check_context_constraints(
 
 def load_context_rules(path: str | Path) -> list[ContextRule]:
     """Read an ordered rules file (JSON array of rule objects)."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise MalformedJson(str(exc)) from exc
+    raw = parse_json(Path(path).read_bytes(), "")
     if not isinstance(raw, list):
         raise MalformedJson("rules file must hold a JSON array")
     rules = []
@@ -143,11 +140,11 @@ def load_context_rules(path: str | Path) -> list[ContextRule]:
             raise MalformedJson(f"rule must be an object, got {type(row).__name__}")
         rules.append(
             ContextRule(
-                rule_id=str(row.get("rule_id", "")),
-                predicate=str(row.get("predicate", "")),
+                rule_id=row.get("rule_id", ""),
+                predicate=row.get("predicate", ""),
                 arg=row.get("arg", ""),
-                severity=str(row.get("severity", "violation")),
-                window=int(row.get("window", DEFAULT_WINDOW)),
+                severity=row.get("severity", "violation"),
+                window=row.get("window", DEFAULT_WINDOW),
             )
         )
     return rules

@@ -48,27 +48,33 @@ def two_sample_t(a: GroupStats, b: GroupStats, variant: str = "pooled") -> tuple
 
     Pooled assumes equal variances with df = n_a + n_b - 2. Welch drops the
     assumption and uses the Welch-Satterthwaite df. Raises DegenerateVariance
-    when both groups have zero spread, where no t exists.
+    when the standard error is zero (both groups have no spread, or it
+    underflows), where no t exists, and RangeViolation when the arithmetic
+    leaves the float range.
     """
     if variant not in VARIANTS:
         raise RangeViolation(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if a.std_dev == 0 and b.std_dev == 0:
-        raise DegenerateVariance("both groups have zero standard deviation")
-
-    var_a, var_b = a.std_dev**2, b.std_dev**2
-    diff = a.mean - b.mean
-    if variant == "pooled":
-        df = a.n + b.n - 2
-        pooled_var = ((a.n - 1) * var_a + (b.n - 1) * var_b) / df
-        se = math.sqrt(pooled_var * (1 / a.n + 1 / b.n))
-        return diff / se, float(df)
-
-    se_sq_a, se_sq_b = var_a / a.n, var_b / b.n
-    se = math.sqrt(se_sq_a + se_sq_b)
-    df = (se_sq_a + se_sq_b) ** 2 / (
-        se_sq_a**2 / (a.n - 1) + se_sq_b**2 / (b.n - 1)
-    )
-    return diff / se, df
+    try:
+        var_a, var_b = a.std_dev**2, b.std_dev**2
+        if variant == "pooled":
+            df = float(a.n + b.n - 2)
+            pooled_var = ((a.n - 1) * var_a + (b.n - 1) * var_b) / df
+            se = math.sqrt(pooled_var * (1 / a.n + 1 / b.n))
+        else:
+            se_sq_a, se_sq_b = var_a / a.n, var_b / b.n
+            se = math.sqrt(se_sq_a + se_sq_b)
+        if se == 0:
+            raise DegenerateVariance("the standard error of the difference is zero")
+        if variant == "welch":
+            df = (se_sq_a + se_sq_b) ** 2 / (
+                se_sq_a**2 / (a.n - 1) + se_sq_b**2 / (b.n - 1)
+            )
+        t = (a.mean - b.mean) / se
+    except ArithmeticError as exc:  # overflow, or a Welch df whose terms underflow to 0
+        raise RangeViolation(f"summary statistics leave the float range: {exc}") from exc
+    if not (math.isfinite(t) and math.isfinite(df)):
+        raise RangeViolation(f"summary statistics leave the float range: t={t}, df={df}")
+    return t, df
 
 
 def mean_confidence_interval(g: GroupStats, level: float = 0.95) -> tuple[float, float]:

@@ -12,8 +12,8 @@ structured body {"code", "message"} (plus "detail" when available), where the
 code is the error class name, e.g. UnknownValue, DuplicateDimension,
 MalformedJson, UnknownKey.
 
-The service holds no mutable state: the registry is read once at startup and
-every request is handled from scratch, so the threading server is safe.
+The service holds no mutable state: every request is handled from scratch,
+so the threading server is safe.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .gcode.registry import TagRegistry, load_registry
 from .gcode.tags import build_prompt_directives, speaker_module_from_obj
+from .jsonio import parse_json
 from .msl.cycles import cyclic_components, detect_closed_loops
 from .msl.graph import ResponsibilityGraph, detect_partial_drift
 from .scoring.report import annotate_transcript, scorecard_json
@@ -82,7 +83,7 @@ class MsaHttpServer(ThreadingHTTPServer):
 
     def __init__(self, address: tuple[str, int], llm: LlmClient | None = None) -> None:
         self.llm = llm or StubLlmClient()
-        self.registry = load_registry()  # startup fails here on a bad registry
+        self.registry = load_registry()
         super().__init__(address, MsaRequestHandler)
 
 
@@ -125,10 +126,7 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
             ) from None
         if not raw:
             raise MalformedJson("empty request body")
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise MalformedJson(str(exc)) from exc
+        return parse_json(raw, "")
 
     def do_GET(self) -> None:
         if self.path == "/health":

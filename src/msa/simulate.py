@@ -16,7 +16,6 @@ lives only in the file name, never in the content.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -27,7 +26,8 @@ from .dialogue.llm import LlmClient
 from .dialogue.pipeline import run_pipeline
 from .dialogue.transcript import DialogueTurn, Transcript, dump_transcript_jsonl
 from .errors import InvalidRequest, MalformedJson
-from .gcode.tags import SpeakerModuleConfig, config_from_keyed_object
+from .gcode.tags import SpeakerModuleConfig, speaker_module_from_obj
+from .jsonio import parse_json
 
 TASK_TURN_SPEAKER = "moderator"
 
@@ -48,24 +48,17 @@ class MultiSpeakerTask:
         """Parse the task document: every key except ``task`` is a profile."""
         if not isinstance(obj, Mapping):
             raise MalformedJson(f"task must be a JSON object, got {type(obj).__name__}")
-        if "task" not in obj:
-            raise InvalidRequest("task document needs a 'task' key")
-        speakers = {}
-        for key, value in obj.items():
-            if key == "task":
-                continue
-            if not isinstance(value, Mapping):
-                raise MalformedJson(f"speaker {key!r}: profile must be a keyed object")
-            speakers[key] = config_from_keyed_object(value)
-        return cls(speakers=speakers, task=str(obj["task"]))
+        task = obj.get("task")
+        if not isinstance(task, str):
+            raise InvalidRequest(f"task document needs a 'task' string, got {type(task).__name__}")
+        speakers = {
+            key: speaker_module_from_obj(value) for key, value in obj.items() if key != "task"
+        }
+        return cls(speakers=speakers, task=task)
 
 
 def load_task(path: str | Path) -> MultiSpeakerTask:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise MalformedJson(str(exc)) from exc
-    return MultiSpeakerTask.from_obj(raw)
+    return MultiSpeakerTask.from_obj(parse_json(Path(path).read_bytes(), ""))
 
 
 def simulate(

@@ -323,3 +323,55 @@ def test_serve_accepts_both_ends_of_the_port_range(monkeypatch):
     assert main(["serve", "--port", "0"]) == 0
     assert main(["serve", "--port", "65535"]) == 0
     assert started == [0, 65535]
+
+
+DEEP_JSON = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "{file}"],
+        ["score-case", "{file}"],
+        ["annotate", "{file}"],
+        ["simulate", "{file}"],
+        ["simulate", "task.json", "--config", "{file}"],
+        ["parse", DEEP_JSON],
+    ],
+    ids=["graph", "score-case", "annotate", "simulate-task", "config", "parse"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    assert main([arg.replace("{file}", str(deep)) for arg in argv]) == 2
+    assert "MalformedJson" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "a,b,code",
+    [
+        ("2,1,1e-320", "2,1,0", "DegenerateVariance"),
+        ("2,1e308,1e308", "2,-1e308,1e308", "RangeViolation"),
+        ("2,1e308,1", "2,-1e308,1", "RangeViolation"),
+    ],
+    ids=["variance-underflow", "variance-overflow", "mean-difference-overflow"],
+)
+@pytest.mark.parametrize("welch", [False, True], ids=["pooled", "welch"])
+def test_stats_out_of_float_range_exits_2(capsys, a, b, code, welch):
+    assert main(["stats", "--a", a, "--b", b, *(["--welch"] if welch else [])]) == 2
+    assert f"[{code}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", [None, 3], ids=["null", "number"])
+def test_simulate_non_string_task_exits_2(tmp_path, capsys, task):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"a": {}, "b": {}, "task": task}))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "InvalidRequest" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_accepts_tag_list_profiles(tmp_path):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"a": ["#T_NEUTRAL"], "b": {"tone": "ASSERTIVE"}, "task": "Plan it."}))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0

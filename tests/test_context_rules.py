@@ -110,3 +110,16 @@ def test_load_context_rules(tmp_path):
     path.write_text("{}")
     with pytest.raises(MalformedJson):
         load_context_rules(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("window", "abc"), ("window", None), ("window", 2.7), ("window", True), ("rule_id", None),
+     ("rule_id", 7)],
+)
+def test_load_context_rules_does_not_coerce(tmp_path, field, value):
+    path = tmp_path / "rules.json"
+    row = {"rule_id": "a", "predicate": "keyword-presence", "arg": "budget", field: value}
+    path.write_text(json.dumps([row]), encoding="utf-8")
+    with pytest.raises(MalformedJson):
+        load_context_rules(path)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from msa.dialogue.transcript import dump_transcript_jsonl, load_transcript_jsonl
 from msa.errors import CorruptFixture
 from msa.fixtures import FIXTURE_CASES, load_fixture
+from helpers import make_transcript
 
 EXPECTED_TURNS = {"case1": 9, "case2": 4, "case3": 6, "case4": 6}
 
@@ -85,6 +88,24 @@ def test_tampered_subscores_detected(tmp_path):
     victim.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(CorruptFixture):
         load_fixture("case3", base_dir=work)
+
+
+def test_jsonl_round_trip_keeps_unicode_line_separators(tmp_path):
+    # json.dumps writes U+0085, U+2028 and U+2029 raw, and str.splitlines()
+    # would split a turn there; JSONL lines end at "\n" only.
+    transcript = make_transcript(
+        [("a", "one\u2028two\u0085three\u2029four", "user"), ("b", "five", "assistant")]
+    )
+    work = tmp_path / "fixtures"
+    shutil.copytree(_bundle_dir(), work)
+    path = work / "case2.jsonl"
+    dump_transcript_jsonl(transcript, path)
+    assert load_transcript_jsonl(path) == transcript
+    sums_path = work / "checksums.json"
+    sums = json.loads(sums_path.read_text(encoding="utf-8"))
+    sums["case2.jsonl"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    sums_path.write_text(json.dumps(sums), encoding="utf-8")
+    assert load_fixture("case2", base_dir=work).transcript == transcript
 
 
 def test_missing_file_detected(tmp_path):

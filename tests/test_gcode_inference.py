@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from msa.errors import EmptyContext, MalformedJson, UnknownValue
+from msa.errors import EmptyContext
+from msa.gcode import inference
 from msa.gcode.dimensions import Dimension
-from msa.gcode.inference import InferenceRule, default_inference_rules, infer_tags, load_inference_rules
+from msa.gcode.inference import INFERENCE_CUES, default_inference_rules, infer_tags
+from msa.gcode.registry import load_registry
 from msa.gcode.tags import SpeakerModuleConfig, parse_tag_list
 from helpers import make_transcript
 
@@ -47,37 +47,23 @@ def test_empty_context_raises():
         infer_tags(make_transcript([]), SpeakerModuleConfig())
 
 
-def test_later_rules_win(tmp_path):
-    rules_path = tmp_path / "rules.json"
-    rules_path.write_text(
-        json.dumps(
-            [
-                {"predicate": "contains_char", "arg": "?", "dimension": "tone", "value": "NEUTRAL"},
-                {"predicate": "ends_with", "arg": "?!", "dimension": "tone", "value": "HIGHASSERT"},
-            ]
-        ),
-        encoding="utf-8",
+def test_later_rules_win(monkeypatch):
+    monkeypatch.setattr(
+        inference,
+        "INFERENCE_CUES",
+        ((("?",), Dimension.TONE, "NEUTRAL"), (("?!",), Dimension.TONE, "HIGHASSERT")),
     )
-    rules = load_inference_rules(rules_path)
     context = make_transcript([("u", "You deleted it?!", "user")])
-    out = infer_tags(context, SpeakerModuleConfig(), rules)
+    out = infer_tags(context, SpeakerModuleConfig())
     assert out.to_keyed_object()["tone"] == "HIGHASSERT"
 
 
-def test_rule_file_validation(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps([{"predicate": "regex", "arg": ".", "dimension": "tone", "value": "NEUTRAL"}]))
-    with pytest.raises(MalformedJson):
-        load_inference_rules(bad)
-    bad.write_text(json.dumps({"predicate": "contains_char"}))
-    with pytest.raises(MalformedJson):
-        load_inference_rules(bad)
-    bad.write_text(json.dumps([{"predicate": "contains_char", "arg": "?", "dimension": "tone", "value": "WHISPER"}]))
-    with pytest.raises(UnknownValue):
-        load_inference_rules(bad)
-
-
 def test_bundled_default_matches_constructed():
-    assert default_inference_rules() == (
-        InferenceRule(predicate="contains_char", arg="?", dimension=Dimension.TONE, value="NEUTRAL"),
-    )
+    assert default_inference_rules() == INFERENCE_CUES == ((("?",), Dimension.TONE, "NEUTRAL"),)
+
+
+def test_every_cue_is_registered_and_has_phrases():
+    registry = load_registry()
+    for phrases, dimension, value in INFERENCE_CUES:
+        assert phrases and all(phrases)
+        assert registry.is_registered(dimension, value)

@@ -17,7 +17,7 @@ from msa.errors import (
     UnknownValue,
 )
 from msa.gcode.dimensions import DIMENSION_ORDER, Dimension
-from msa.gcode.registry import load_registry
+from msa.gcode.registry import VOCABULARY, load_registry
 from msa.gcode.tags import (
     GCodeTag,
     build_prompt_directives,
@@ -47,6 +47,16 @@ def test_registry_shape():
     assert REGISTRY.vocab[Dimension.TONE] == frozenset(
         {"NEUTRAL", "ASSERTIVE", "SOFTASSERT", "HIGHASSERT"}
     )
+
+
+def test_vocabulary_is_well_formed():
+    assert list(VOCABULARY) == list(Dimension)
+    for dimension, values in VOCABULARY.items():
+        assert values, dimension
+        assert len(set(values)) == len(values), dimension
+        for value in values:
+            assert value.isascii() and value.isalpha() and value == value.upper(), value
+        assert REGISTRY.vocab[dimension] == frozenset(values)
 
 
 def test_parse_single_tag():

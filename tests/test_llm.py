@@ -43,6 +43,11 @@ def test_remote_from_env_requires_base_url(monkeypatch):
         RemoteLlmClient.from_env()
 
 
+# Replies that decode to no JSON object: an array, a string, and an array
+# nested deeper than the decoder's recursion limit.
+REPLY_BODIES = {"array": b"[]", "string": b'"text"', "deep": b"[" * 1000 + b"]" * 1000}
+
+
 class _Script(BaseHTTPRequestHandler):
     """One-behavior fake endpoint; the behavior is set on the server object."""
 
@@ -59,6 +64,11 @@ class _Script(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/json")
             self.end_headers()
             self.wfile.write(payload.encode())
+        elif mode in REPLY_BODIES:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(REPLY_BODIES[mode])
         elif mode in ("missing-field", "empty-output"):
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -132,6 +142,15 @@ def test_remote_empty_output_is_unavailable(fake_endpoint):
     client = _client_for(fake_endpoint, retries=0)
     ctx = make_transcript([("u", "ping", "user")])
     with pytest.raises(LlmUnavailable, match="no 'output' text"):
+        client.generate("", ctx)
+
+
+@pytest.mark.parametrize("mode", list(REPLY_BODIES))
+def test_remote_reply_that_is_no_json_object_is_unavailable(fake_endpoint, mode):
+    fake_endpoint.mode = mode
+    client = _client_for(fake_endpoint, retries=0)
+    ctx = make_transcript([("u", "ping", "user")])
+    with pytest.raises(LlmUnavailable):
         client.generate("", ctx)
 
 

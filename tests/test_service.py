@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import subprocess
@@ -104,6 +105,17 @@ def test_non_json_body_is_400():
             status, body = err.code, json.loads(err.read())
     assert status == 400
     assert body["code"] == "MalformedJson"
+
+
+@pytest.mark.parametrize("path", ["/generate_with_speaker_module", "/annotate", "/analyze_graph"])
+def test_deeply_nested_body_is_400(path):
+    with running_server() as port:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        conn.request("POST", path, b"[" * 1000 + b"]" * 1000)
+        response = conn.getresponse()
+        status, body = response.status, json.loads(response.read())
+        conn.close()
+    assert (status, body["code"]) == (400, "MalformedJson")
 
 
 @pytest.mark.parametrize("length", ["abc", "-1", str(MAX_BODY_BYTES + 1)],

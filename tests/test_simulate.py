@@ -60,6 +60,19 @@ def test_task_rejects_bad_profile():
         MultiSpeakerTask.from_obj({"a": "loud", "b": {}, "task": "x"})
 
 
+@pytest.mark.parametrize("statement", [None, 3, ["x"]], ids=["null", "number", "array"])
+def test_task_statement_must_be_a_string(statement):
+    with pytest.raises(InvalidRequest):
+        MultiSpeakerTask.from_obj({"a": {}, "b": {}, "task": statement})
+
+
+def test_task_accepts_both_speaker_module_forms():
+    task = MultiSpeakerTask.from_obj(
+        {"a": ["#T_NEUTRAL", "#C_CUT"], "b": {"tone": "neutral", "closure": "cut"}, "task": "x"}
+    )
+    assert task.speakers["a"] == task.speakers["b"]
+
+
 def test_round_trip_object_form(tmp_path):
     task = MultiSpeakerTask.from_obj(TASK_OBJ)
     path = tmp_path / "task.json"

@@ -87,6 +87,30 @@ def test_degenerate_variance_needs_both_zero():
     assert math.isfinite(t)
 
 
+@pytest.mark.parametrize("variant", ["pooled", "welch"])
+def test_underflowing_standard_error_is_degenerate(variant):
+    with pytest.raises(DegenerateVariance):
+        two_sample_t(GroupStats(2, 1.0, 1e-320), GroupStats(2, 1.0, 0.0), variant)
+
+
+@pytest.mark.parametrize(
+    "a,b,variant",
+    [
+        ((2, 1e308, 1e308), (2, -1e308, 1e308), "pooled"),
+        ((2, 1e308, 1e308), (2, -1e308, 1e308), "welch"),
+        ((2, 1e308, 1.0), (2, -1e308, 1.0), "pooled"),
+        ((2, 1e308, 1.0), (2, -1e308, 1.0), "welch"),
+        ((2, 1.0, 1.4e-85), (2, 0.0, 0.0), "welch"),  # the df's squared terms underflow
+        ((10**400, 1.0, 1.0), (2, 1.0, 1.0), "pooled"),
+    ],
+    ids=["variance-pooled", "variance-welch", "mean-pooled", "mean-welch", "welch-df",
+         "huge-n"],
+)
+def test_arithmetic_out_of_float_range_is_a_range_violation(a, b, variant):
+    with pytest.raises(RangeViolation):
+        two_sample_t(GroupStats(*a), GroupStats(*b), variant)
+
+
 def test_group_validation():
     with pytest.raises(RangeViolation):
         GroupStats(n=1, mean=5.0, std_dev=1.0)

@@ -71,3 +71,23 @@ def unused_public_names() -> list[str]:
 
 def test_every_public_name_has_a_caller_or_documentation():
     assert unused_public_names() == []
+
+
+def test_json_is_decoded_only_in_jsonio():
+    """Every decode goes through msa.jsonio.parse_json, which maps each failure to MalformedJson."""
+    decoders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "jsonio.py" and path.parent == SRC:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                decoders += [f"{path.relative_to(SRC)}: from json import {alias.name}"
+                             for alias in node.names if alias.name in ("load", "loads")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                decoders.append(f"{path.relative_to(SRC)}:{node.lineno}: json.{node.attr}")
+    assert decoders == []
