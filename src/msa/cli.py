@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,11 +31,11 @@ from .gcode.tags import (
     parse_tag_list,
 )
 from .jsonio import parse_json
-from .msl.graph import ResponsibilityGraph
-from .scoring.report import ScoreCard, render_case_table, scorecard_json
-from .scoring.rubric import SubScores, shift_rate_percent
+from .msl.graph import ResponsibilityGraph, transitive_closure
+from .scoring.report import ScoreCard, annotate_transcript, render_case_table, scorecard_json
+from .scoring.rubric import read_subscores
 from .scoring.stats import GroupStats, format_interval, mean_confidence_interval, two_sample_t
-from .dialogue.transcript import PragmaticRole, load_transcript_jsonl
+from .dialogue.transcript import load_transcript_jsonl
 from .service import analyze_graph_report, serve
 from .simulate import load_task, run_simulation_to_file
 
@@ -54,15 +55,23 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     raw = parse_json(Path(path).read_bytes(), path)
     if not isinstance(raw, dict):
         raise MalformedJson(f"{path}: config file must hold a JSON object")
-    return {str(k): str(v) for k, v in raw.items()}
+    config = {}
+    for key, value in raw.items():
+        if isinstance(value, int) and not isinstance(value, bool):
+            value = str(value)
+        if not isinstance(value, str):
+            raise InvalidRequest(
+                f"{path}: config value {key!r} must be a string or an integer, "
+                f"got {type(value).__name__}"
+            )
+        config[key] = value
+    return config
 
 
 def resolve_setting(name: str, flag_value: str | None, config: dict[str, str]) -> str:
     """flag > MSA_<NAME> env var > config file > default."""
     if flag_value is not None:
         return flag_value
-    import os
-
     env_value = os.environ.get(ENV_PREFIX + name.upper())
     if env_value is not None:
         return env_value
@@ -85,15 +94,6 @@ def _speaker_module_from_text(text: str) -> SpeakerModuleConfig:
     return parse_tag_list(stripped.split())
 
 
-def _function_roles(raw: object) -> tuple[PragmaticRole, ...]:
-    if not isinstance(raw, list):
-        raise InvalidRequest(f"function_roles must be an array, got {type(raw).__name__}")
-    try:
-        return tuple(PragmaticRole(role) for role in raw)
-    except ValueError as exc:
-        raise InvalidRequest(f"function_roles: {exc}") from None
-
-
 # --- subcommand handlers ---
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -109,10 +109,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    transcript = load_transcript_jsonl(args.transcript)
-    from .scoring.report import annotate_transcript
-
-    card = annotate_transcript(transcript)
+    card = annotate_transcript(load_transcript_jsonl(args.transcript))
     sys.stdout.write(scorecard_json(card))
     return 0
 
@@ -122,8 +119,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     graph = ResponsibilityGraph.from_dict(raw)
     report = analyze_graph_report(graph)
     if args.closure:
-        from .msl.graph import transitive_closure
-
         report["transitive_closure"] = sorted(list(pair) for pair in transitive_closure(graph))
     print(json.dumps(report, indent=2, ensure_ascii=False))
     return 0
@@ -133,15 +128,11 @@ def _cmd_score_case(args: argparse.Namespace) -> int:
     path = Path(args.subscores)
     if not path.exists() and path.stem in FIXTURE_CASES:
         fixture = load_fixture(path.stem)
-        sub, roles = fixture.subscores, fixture.function_roles
+        card = ScoreCard(fixture.subscores, fixture.function_roles)
     else:
-        raw = parse_json(path.read_bytes(), str(path))
-        sub = SubScores.from_dict(raw)
-        roles = _function_roles(raw.get("function_roles", []))
-    shift_pct = shift_rate_percent(roles) if len(roles) >= 2 else None
-    sys.stdout.write(render_case_table(sub, shift_pct, title=path.stem))
+        card = ScoreCard(*read_subscores(parse_json(path.read_bytes(), str(path))))
+    sys.stdout.write(render_case_table(card, path.stem))
     if args.json:
-        card = ScoreCard.from_subscores(sub, roles if len(roles) >= 2 else None)
         sys.stdout.write(scorecard_json(card))
     return 0
 

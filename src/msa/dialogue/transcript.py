@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ..errors import InvalidRequest, MalformedJson
+from ..errors import InvalidRequest
 from ..jsonio import parse_json
 
 TURN_ROLES = ("user", "assistant", "system")
@@ -115,16 +115,24 @@ class Transcript:
         return cls(turns=tuple(DialogueTurn.from_dict(row) for row in rows))
 
 
-def load_transcript_jsonl(path: str | Path) -> Transcript:
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                if line.strip():
-                    rows.append(parse_json(line, f"{path}:{lineno}"))
-        except UnicodeDecodeError as exc:
-            raise MalformedJson(f"{path}: not UTF-8: {exc}") from exc
+def parse_transcript_jsonl(data: bytes, source: str) -> Transcript:
+    """Transcript from JSONL bytes: one turn object per line, blank lines skipped.
+
+    Lines end at a line feed only: a bare carriage return is JSON whitespace
+    inside a line, and U+0085 or U+2028, which json.dumps writes raw, stay in
+    the turn text. A line that is not UTF-8 JSON raises MalformedJson naming
+    ``source:line``.
+    """
+    rows = [
+        parse_json(line, f"{source}:{lineno}")
+        for lineno, line in enumerate(data.split(b"\n"), start=1)
+        if line.strip()
+    ]
     return Transcript.from_dicts(rows)
+
+
+def load_transcript_jsonl(path: str | Path) -> Transcript:
+    return parse_transcript_jsonl(Path(path).read_bytes(), str(path))
 
 
 def dump_transcript_jsonl(transcript: Transcript, path: str | Path) -> None:

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .dialogue.transcript import PragmaticRole, Transcript
+from .dialogue.transcript import PragmaticRole, Transcript, parse_transcript_jsonl
 from .errors import CorruptFixture
 from .jsonio import parse_json
-from .scoring.rubric import SubScores
+from .scoring.rubric import SubScores, read_subscores
 
 FIXTURE_CASES = ("case1", "case2", "case3", "case4")
 
@@ -37,11 +37,16 @@ def _read_bytes(name: str, base_dir: Path | None) -> bytes:
         raise CorruptFixture(f"{name}: missing or unreadable ({exc})") from exc
 
 
-def _checksums(base_dir: Path | None) -> dict[str, str]:
-    return parse_json(_read_bytes("checksums.json", base_dir), "checksums.json")
+def _checksums(base_dir: Path | None) -> dict[str, object]:
+    sums = parse_json(_read_bytes("checksums.json", base_dir), "checksums.json")
+    if not isinstance(sums, dict):
+        raise CorruptFixture(f"checksums.json: expected an object, got {type(sums).__name__}")
+    return sums
 
 
-def _verified(name: str, expected_sha: str, base_dir: Path | None) -> bytes:
+def _verified(name: str, sums: dict[str, object], base_dir: Path | None) -> bytes:
+    """The file's bytes, if their SHA-256 is the one ``sums`` records for it."""
+    expected_sha = sums.get(name)
     data = _read_bytes(name, base_dir)
     actual = hashlib.sha256(data).hexdigest()
     if actual != expected_sha:
@@ -56,16 +61,10 @@ def load_fixture(case_id: str, base_dir: Path | None = None) -> CaseFixture:
     sums = _checksums(base_dir)
 
     jsonl_name = f"{case_id}.jsonl"
-    rows = []
-    for line in _verified(jsonl_name, sums[jsonl_name], base_dir).split(b"\n"):
-        if line.strip():
-            rows.append(parse_json(line, jsonl_name))
-    transcript = Transcript.from_dicts(rows)
+    transcript = parse_transcript_jsonl(_verified(jsonl_name, sums, base_dir), jsonl_name)
 
     sub_name = f"{case_id}.subscores.json"
-    sub_raw = parse_json(_verified(sub_name, sums[sub_name], base_dir), sub_name)
-    subscores = SubScores.from_dict(sub_raw)
-    roles = tuple(PragmaticRole(r) for r in sub_raw.get("function_roles", []))
+    subscores, roles = read_subscores(parse_json(_verified(sub_name, sums, base_dir), sub_name))
     return CaseFixture(
         case_id=case_id, transcript=transcript, subscores=subscores, function_roles=roles
     )

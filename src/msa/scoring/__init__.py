@@ -1,7 +1,6 @@
 """Evaluation rubric, heuristic scoring, and group statistics."""
 
 from .heuristics import (
-    AnnotatedSubScores,
     HeuristicScores,
     auto_annotate,
     heuristic_score,
@@ -16,7 +15,6 @@ from .rubric import (
     count_role_shifts,
     role_shift_rate,
     shift_rate_percent,
-    total_metric,
 )
 from .stats import (
     GroupStats,
@@ -26,7 +24,6 @@ from .stats import (
 )
 
 __all__ = [
-    "AnnotatedSubScores",
     "GroupStats",
     "HeuristicScores",
     "METRIC_KEYS",
@@ -45,6 +42,5 @@ __all__ = [
     "role_shift_rate",
     "scorecard_json",
     "shift_rate_percent",
-    "total_metric",
     "two_sample_t",
 ]

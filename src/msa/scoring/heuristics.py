@@ -7,14 +7,14 @@ integrity is max(1, 9 - 2 * short_turns) where a short turn has fewer than
 three whitespace tokens.
 
 auto_annotate is a best-effort lexical realization of the rubric guidelines.
-It produces sub-scores with per-dimension confidence and is advisory only. It
-does not claim to replicate human annotation.
+It produces sub-scores, each with the fixed confidence in CONFIDENCE, and is
+advisory only. It does not claim to replicate human annotation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import EmptyContext
@@ -93,12 +93,6 @@ CONFIDENCE = {
 }
 
 
-@dataclass(frozen=True)
-class AnnotatedSubScores:
-    subscores: SubScores
-    confidence: dict[str, float] = field(default_factory=dict)
-
-
 class _TurnFeatures(NamedTuple):
     """Everything the sub-scores read from one turn."""
 
@@ -117,8 +111,8 @@ class _TurnFeatures(NamedTuple):
     repair: bool
 
 
-def auto_annotate(transcript: "Transcript") -> AnnotatedSubScores:
-    """Lexical sub-score estimate with per-dimension confidence.
+def auto_annotate(transcript: "Transcript") -> SubScores:
+    """Lexical sub-score estimate; CONFIDENCE says how far to trust each one.
 
     Advisory only. See the comments above each block for what each
     sub-dimension actually measures here. Each turn is lowered, tokenized,
@@ -244,9 +238,8 @@ def auto_annotate(transcript: "Transcript") -> AnnotatedSubScores:
         jaccard = len(shared) / len(union) if union else 0.0
         c4 = 3 if jaccard >= 0.12 else 2 if jaccard >= 0.06 else 1 if jaccard >= 0.02 else 0
 
-    sub = SubScores(
+    return SubScores(
         pragmatic=(p1, p2, p3, p4),
         responsibility=(r1, r2, r3, r4),
         context=(c1, c2, c3, c4),
     )
-    return AnnotatedSubScores(subscores=sub, confidence=dict(CONFIDENCE))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
 from ..dialogue.transcript import PragmaticRole
-from .heuristics import AnnotatedSubScores, HeuristicScores, auto_annotate, heuristic_score
+from .heuristics import CONFIDENCE, HeuristicScores, auto_annotate, heuristic_score
 from .rubric import (
     METRIC_KEYS,
     METRIC_TITLES,
@@ -19,7 +19,6 @@ from .rubric import (
     SubScores,
     all_totals,
     band,
-    count_role_shifts,
     role_shift_rate,
     shift_rate_percent,
 )
@@ -27,49 +26,39 @@ from .rubric import (
 if TYPE_CHECKING:
     from ..dialogue.transcript import Transcript
 
+TOTAL_KEYS = ("pragmatic_consistency", "responsibility_chain", "context_stability")
+
+
+def _shift(roles: Sequence[PragmaticRole]) -> tuple[float, int] | tuple[None, None]:
+    """Role shift rate and its truncated percent; nulls below two roles."""
+    if len(roles) < 2:
+        return None, None
+    return role_shift_rate(roles), shift_rate_percent(roles)
+
 
 @dataclass(frozen=True)
 class ScoreCard:
-    totals: tuple[int, int, int] | None = None
-    subscores: SubScores | None = None
-    confidence: dict[str, float] | None = None
-    shift_rate: float | None = None
-    shift_rate_pct: int | None = None
-    heuristic: HeuristicScores | None = None
-    advisory: bool = False
+    """The values a card cannot derive; ``to_dict`` derives the rest.
 
-    @classmethod
-    def from_subscores(
-        cls, sub: SubScores, roles: Sequence[PragmaticRole] | None = None
-    ) -> "ScoreCard":
-        shift = shift_pct = None
-        if roles is not None and len(roles) >= 2:
-            shift = role_shift_rate(roles)
-            shift_pct = shift_rate_percent(roles)
-        return cls(
-            totals=all_totals(sub),
-            subscores=sub,
-            shift_rate=shift,
-            shift_rate_pct=shift_pct,
-        )
+    A card that carries the heuristic triple comes from mechanical
+    annotation: it is advisory and reports CONFIDENCE.
+    """
+
+    subscores: SubScores
+    roles: Sequence[PragmaticRole] = ()
+    heuristic: HeuristicScores | None = None
 
     def to_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {}
-        if self.totals is not None:
-            out["totals"] = {
-                "pragmatic_consistency": self.totals[0],
-                "responsibility_chain": self.totals[1],
-                "context_stability": self.totals[2],
-            }
-        if self.subscores is not None:
-            out["subscores"] = self.subscores.to_dict()
-        if self.confidence is not None:
-            out["confidence"] = self.confidence
-        out["shift_rate"] = self.shift_rate
-        out["shift_rate_percent"] = self.shift_rate_pct
+        out: dict[str, object] = {
+            "totals": dict(zip(TOTAL_KEYS, all_totals(self.subscores))),
+            "subscores": self.subscores.to_dict(),
+        }
+        if self.heuristic is not None:
+            out["confidence"] = dict(CONFIDENCE)
+        out["shift_rate"], out["shift_rate_percent"] = _shift(self.roles)
         if self.heuristic is not None:
             out["heuristic"] = self.heuristic.to_dict()
-        out["advisory"] = self.advisory
+        out["advisory"] = self.heuristic is not None
         return out
 
 
@@ -84,41 +73,24 @@ def annotate_transcript(transcript: "Transcript") -> ScoreCard:
     Combines the advisory sub-score estimate, the coarse heuristic triple,
     and, when the turns carry pragmatic roles, the role shift rate.
     """
-    annotated: AnnotatedSubScores = auto_annotate(transcript)
-    heur = heuristic_score(transcript)
-    roles = [t.function_role for t in transcript.turns if t.function_role is not None]
-    shift = shift_pct = None
-    if len(roles) >= 2:
-        shift = role_shift_rate(roles)
-        shift_pct = shift_rate_percent(roles)
     return ScoreCard(
-        totals=all_totals(annotated.subscores),
-        subscores=annotated.subscores,
-        confidence=annotated.confidence,
-        shift_rate=shift,
-        shift_rate_pct=shift_pct,
-        heuristic=heur,
-        advisory=True,
+        auto_annotate(transcript),
+        [t.function_role for t in transcript.turns if t.function_role is not None],
+        heuristic_score(transcript),
     )
 
 
-def render_case_table(
-    sub: SubScores,
-    shift_pct: int | None = None,
-    title: str | None = None,
-) -> str:
+def render_case_table(card: ScoreCard, title: str) -> str:
     """Readable evaluation breakdown, one block per metric."""
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(title))
+    lines = [title, "=" * len(title)]
     prefixes = {"pragmatic": "P", "responsibility": "R", "context": "C"}
-    totals = all_totals(sub)
-    for metric, total in zip(METRIC_KEYS, totals):
+    sub = card.subscores
+    for metric, total in zip(METRIC_KEYS, all_totals(sub)):
         lines.append(f"{METRIC_TITLES[metric]:<34}{total}/9  ({band(total)})")
         values = getattr(sub, metric)
         for i, (label, value) in enumerate(zip(SUB_TITLES[metric], values), start=1):
             lines.append(f"  {prefixes[metric]}{i} {label:<29}{value}")
+    shift_pct = _shift(card.roles)[1]
     if shift_pct is not None:
         lines.append(f"{'Speaker Role Shift Rate':<34}{shift_pct}%")
     return "\n".join(lines) + "\n"

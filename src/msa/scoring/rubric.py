@@ -1,4 +1,4 @@
-"""Evaluation rubric: sub-scores, metric totals, and role shift rate.
+"""Evaluation rubric: sub-scores, their document, metric totals, and role shift rate.
 
 Three metrics, four sub-dimensions each. The first three sub-dimensions of a
 metric score 0 to 2, the fourth scores 0 to 3, so each metric totals 0 to 9.
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..errors import RangeViolation, TooFewTurns
+from ..errors import InvalidRequest, RangeViolation, TooFewTurns
 from ..dialogue.transcript import PragmaticRole
 
 SUB_MAXIMA = (2, 2, 2, 3)
@@ -74,15 +74,25 @@ class SubScores:
         return {key: list(getattr(self, key)) for key in METRIC_KEYS}
 
 
-def total_metric(sub: SubScores, metric: str) -> int:
-    """Sum of one metric's four sub-scores (0 to 9)."""
-    if metric not in METRIC_KEYS:
-        raise RangeViolation(f"unknown metric {metric!r}, expected one of {METRIC_KEYS}")
-    return sum(getattr(sub, metric))
+def read_subscores(obj: object) -> tuple[SubScores, tuple[PragmaticRole, ...]]:
+    """Read a sub-scores document: its rows and its optional ``function_roles``.
+
+    Bad rows raise RangeViolation; a ``function_roles`` that is not an array
+    or names an unknown role raises InvalidRequest.
+    """
+    sub = SubScores.from_dict(obj)
+    raw = obj.get("function_roles", [])
+    if not isinstance(raw, list):
+        raise InvalidRequest(f"function_roles must be an array, got {type(raw).__name__}")
+    try:
+        return sub, tuple(PragmaticRole(role) for role in raw)
+    except ValueError as exc:
+        raise InvalidRequest(f"function_roles: {exc}") from None
 
 
 def all_totals(sub: SubScores) -> tuple[int, int, int]:
-    return tuple(total_metric(sub, key) for key in METRIC_KEYS)  # type: ignore[return-value]
+    """Each metric's sum of its four sub-scores (0 to 9), in METRIC_KEYS order."""
+    return tuple(sum(getattr(sub, key)) for key in METRIC_KEYS)  # type: ignore[return-value]
 
 
 def band(total: int) -> str:

@@ -26,13 +26,11 @@ from msa.scoring.heuristics import (
     ATTRIBUTION_MARKERS,
     BLUR_MARKERS,
     CASUAL_MARKERS,
-    CONFIDENCE,
     CONTINUITY_MARKERS,
     EVASIVE_MARKERS,
     MIRROR_MARKERS,
     REPAIR_MARKERS,
     TRANSFER_MARKERS,
-    AnnotatedSubScores,
 )
 from msa.scoring.rubric import SubScores
 from msa.text import content_tokens
@@ -146,7 +144,7 @@ def _first_person(text: str) -> bool:
     return "I" in text.split() or text.startswith("I ") or " I'" in text or text.startswith("I'")
 
 
-def reference_auto_annotate(transcript: Transcript) -> AnnotatedSubScores:
+def reference_auto_annotate(transcript: Transcript) -> SubScores:
     """The advisory annotator as first written: every block rescans every turn.
 
     Each sub-dimension re-lowers, re-tokenizes and re-matches the turns it
@@ -264,12 +262,11 @@ def reference_auto_annotate(transcript: Transcript) -> AnnotatedSubScores:
         jaccard = len(shared) / len(union) if union else 0.0
         c4 = 3 if jaccard >= 0.12 else 2 if jaccard >= 0.06 else 1 if jaccard >= 0.02 else 0
 
-    sub = SubScores(
+    return SubScores(
         pragmatic=(p1, p2, p3, p4),
         responsibility=(r1, r2, r3, r4),
         context=(c1, c2, c3, c4),
     )
-    return AnnotatedSubScores(subscores=sub, confidence=dict(CONFIDENCE))
 
 
 def is_closed_loop(graph: ResponsibilityGraph, sequence: list[str]) -> bool:

@@ -217,6 +217,30 @@ def test_config_file_used_when_no_flag_or_env(tmp_path):
     assert out.exists() and any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "value", [None, ["out"], {"dir": "out"}, True], ids=["null", "array", "object", "true"]
+)
+def test_config_value_of_another_type_exits_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MSA_OUTPUT_DIR", raising=False)
+    (tmp_path / "task.json").write_text(json.dumps({"a": {}, "b": {}, "task": "x"}))
+    (tmp_path / "conf.json").write_text(json.dumps({"output_dir": value}))
+    assert main(["simulate", "task.json", "--config", "conf.json"]) == 2
+    err = capsys.readouterr().err
+    assert "InvalidRequest" in err and "'output_dir'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "task.json"]
+
+
+def test_config_integer_port_is_read_as_its_decimal_text(monkeypatch, tmp_path):
+    started = []
+    monkeypatch.setattr(msa.cli, "serve", lambda host, port, llm: started.append(port))
+    monkeypatch.delenv("MSA_PORT", raising=False)
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"port": 9000}))
+    assert main(["serve", "--config", str(config)]) == 0
+    assert started == [9000]
+
+
 def test_missing_task_is_validation_error(tmp_path):
     proc = run_cli("simulate", "absent.json", "--data-dir", str(tmp_path))
     assert proc.returncode == 2

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from msa.dialogue.transcript import dump_transcript_jsonl, load_transcript_jsonl
-from msa.errors import CorruptFixture
+from msa.errors import CorruptFixture, MalformedJson
 from msa.fixtures import FIXTURE_CASES, load_fixture
 from helpers import make_transcript
 
@@ -106,6 +107,47 @@ def test_jsonl_round_trip_keeps_unicode_line_separators(tmp_path):
     sums["case2.jsonl"] = hashlib.sha256(path.read_bytes()).hexdigest()
     sums_path.write_text(json.dumps(sums), encoding="utf-8")
     assert load_fixture("case2", base_dir=work).transcript == transcript
+
+
+def test_bare_carriage_return_is_json_whitespace(tmp_path):
+    # A bare "\r" is JSON whitespace, not a line end: both transcript loaders
+    # split on "\n" only and read the same turns from the same bytes.
+    data = (
+        b'{"speaker": "a",\r "text": "hi there", "turn_role": "user"}\n'
+        b'{"speaker": "b", "text": "hello",\r"turn_role": "assistant", "index": 1}\r\n'
+    )
+    expected = make_transcript([("a", "hi there", "user"), ("b", "hello", "assistant")])
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(data)
+    assert load_transcript_jsonl(path) == expected
+    work = tmp_path / "fixtures"
+    shutil.copytree(_bundle_dir(), work)
+    (work / "case2.jsonl").write_bytes(data)
+    sums_path = work / "checksums.json"
+    sums = json.loads(sums_path.read_text(encoding="utf-8"))
+    sums["case2.jsonl"] = hashlib.sha256(data).hexdigest()
+    sums_path.write_text(json.dumps(sums), encoding="utf-8")
+    assert load_fixture("case2", base_dir=work).transcript == expected
+
+
+def test_malformed_line_names_path_and_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"speaker": "a", "text": "hi", "turn_role": "user"}\n\n{"speaker": \n')
+    with pytest.raises(MalformedJson, match=f"{re.escape(str(path))}:3: "):
+        load_transcript_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "sums",
+    [{"case1.subscores.json": "0" * 64}, ["case1.jsonl"], "case1.jsonl"],
+    ids=["entry-missing", "array", "string"],
+)
+def test_checksums_without_the_files_entry_detected(tmp_path, sums):
+    work = tmp_path / "fixtures"
+    shutil.copytree(_bundle_dir(), work)
+    (work / "checksums.json").write_text(json.dumps(sums), encoding="utf-8")
+    with pytest.raises(CorruptFixture):
+        load_fixture("case1", base_dir=work)
 
 
 def test_missing_file_detected(tmp_path):

@@ -10,7 +10,7 @@ from msa.errors import EmptyContext
 from msa.fixtures import load_fixture
 from msa.msl.rules import OpCounter
 from msa.scoring import heuristics
-from msa.scoring.heuristics import auto_annotate, heuristic_score
+from msa.scoring.heuristics import CONFIDENCE, auto_annotate, heuristic_score
 from helpers import make_transcript, reference_auto_annotate
 
 
@@ -97,7 +97,7 @@ def test_to_dict_keys():
 def test_annotate_case1_attribution_is_full():
     fixture = load_fixture("case1")
     out = auto_annotate(fixture.transcript)
-    assert out.subscores.responsibility[0] == 2
+    assert out.responsibility[0] == 2
 
 
 def test_annotate_no_attribution_scores_zero():
@@ -106,29 +106,27 @@ def test_annotate_no_attribution_scores_zero():
         ("b", "indeed the frost came early", "assistant"),
     )
     out = auto_annotate(d)
-    assert out.subscores.responsibility[0] == 0
+    assert out.responsibility[0] == 0
 
 
 def test_annotate_case4_thematic_stability_is_zero():
     fixture = load_fixture("case4")
     out = auto_annotate(fixture.transcript)
-    assert out.subscores.context[0] == 0
+    assert out.context[0] == 0
 
 
 def test_annotate_confidence_is_fixed_map():
-    d = dialog(("a", "I will carry the plan forward", "user"))
-    out = auto_annotate(d)
-    assert set(out.confidence) == {
+    assert set(CONFIDENCE) == {
         "P1", "P2", "P3", "P4", "R1", "R2", "R3", "R4", "C1", "C2", "C3", "C4",
     }
-    assert all(0.0 < v <= 1.0 for v in out.confidence.values())
+    assert all(0.0 < v <= 1.0 for v in CONFIDENCE.values())
 
 
 def test_annotate_outputs_valid_subscores():
     for case_id in ("case1", "case2", "case3", "case4"):
         fixture = load_fixture(case_id)
         out = auto_annotate(fixture.transcript)
-        for metric in (out.subscores.pragmatic, out.subscores.responsibility, out.subscores.context):
+        for metric in (out.pragmatic, out.responsibility, out.context):
             assert len(metric) == 4
             for value, cap in zip(metric, (2, 2, 2, 3)):
                 assert 0 <= value <= cap
@@ -185,7 +183,7 @@ def test_annotate_single_speaker_matches_oracle():
             ("a", "as I said, the budget is fine, kinda", "user"),
             ("a", "over to you", "user")]
     _assert_matches_oracle(rows)
-    assert auto_annotate(dialog(*rows)).subscores.context[3] == 0
+    assert auto_annotate(dialog(*rows)).context[3] == 0
 
 
 @pytest.mark.parametrize("n_turns", [6, 600])

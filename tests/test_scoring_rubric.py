@@ -16,7 +16,6 @@ from msa.scoring.rubric import (
     count_role_shifts,
     role_shift_rate,
     shift_rate_percent,
-    total_metric,
 )
 
 IP = PragmaticRole.INFORMATION_PROVIDER
@@ -28,7 +27,6 @@ EV = PragmaticRole.EVADER
 def test_totals_sum_the_four_sub_dimensions():
     sub = SubScores(pragmatic=(2, 2, 2, 3), responsibility=(2, 2, 1, 3), context=(1, 1, 1, 2))
     assert all_totals(sub) == (9, 8, 5)
-    assert total_metric(sub, "pragmatic") == 9
 
 
 def test_maximum_is_nine():
