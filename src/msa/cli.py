@@ -7,8 +7,8 @@ comparisons, and serve for the HTTP service.
 
 Settings resolve with the precedence CLI flag > environment variable >
 config file > built-in default. The optional config file (--config PATH) is
-a flat JSON object; recognized keys are host, port, llm, data_dir, and
-output_dir.
+a flat JSON object whose keys are host, port, llm, data_dir, and output_dir;
+any other key is a validation error.
 
 Exit codes: 0 success, 2 validation error, 1 runtime error.
 """
@@ -57,6 +57,8 @@ def _load_config_file(path: str | None) -> dict[str, str]:
         raise MalformedJson(f"{path}: config file must hold a JSON object")
     config = {}
     for key, value in raw.items():
+        if key not in DEFAULTS:
+            raise InvalidRequest(f"{path}: unknown config key {key!r}; keys are {', '.join(DEFAULTS)}")
         if isinstance(value, int) and not isinstance(value, bool):
             value = str(value)
         if not isinstance(value, str):

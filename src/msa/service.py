@@ -19,10 +19,11 @@ so the threading server is safe.
 from __future__ import annotations
 
 import json
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import takewhile
 
-from .dialogue.llm import LlmClient, StubLlmClient
+from .dialogue.llm import LlmClient
 from .dialogue.transcript import DialogueTurn, Transcript
 from .errors import (
     GraphTooLarge,
@@ -81,8 +82,8 @@ def generate_output(
 class MsaHttpServer(ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], llm: LlmClient | None = None) -> None:
-        self.llm = llm or StubLlmClient()
+    def __init__(self, address: tuple[str, int], llm: LlmClient) -> None:
+        self.llm = llm
         self.registry = load_registry()
         super().__init__(address, MsaRequestHandler)
 
@@ -95,12 +96,15 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # keep test output quiet; operators can wrap serve() for logging
 
-    def _send(self, status: int, body: bytes) -> None:
+    def _send(self, status: int, body: bytes, close: bool = False) -> None:
         self.send_response(status)
+        if close:
+            self.send_header("Connection", "close")  # send_header also sets close_connection on it
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _send_json(self, status: int, payload: dict[str, object]) -> None:
         self._send(status, (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"))
@@ -108,7 +112,21 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
     def _send_error(self, status: int, code: str, message: str) -> None:
         self._send_json(status, {"code": code, "message": message})
 
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Answer http.server's own refusals (400, 414, 431, 501, 505) as structured JSON.
+
+        The code is the status phrase without spaces or punctuation, e.g.
+        NotImplemented. The request was not read to its end, so the
+        connection closes after the reply.
+        """
+        phrase = HTTPStatus(code).phrase
+        payload = {"code": "".join(filter(str.isalnum, phrase)), "message": message or phrase}
+        self._send(code, (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"), close=True)
+
     def _read_body(self) -> object:
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True  # the unread body must not parse as the next request
+            raise InvalidRequest("Transfer-Encoding is not supported: send a Content-Length")
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
             self.close_connection = True  # the body's end is unknown, so no request can follow
@@ -175,13 +193,9 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
             self._send_error(500, "InternalError", str(exc))
 
 
-def create_server(host: str = "127.0.0.1", port: int = 0, llm: LlmClient | None = None) -> MsaHttpServer:
-    return MsaHttpServer((host, port), llm=llm)
-
-
-def serve(host: str, port: int, llm: LlmClient | None = None) -> None:
+def serve(host: str, port: int, llm: LlmClient) -> None:
     """Run until interrupted."""
-    server = create_server(host, port, llm)
+    server = MsaHttpServer((host, port), llm)
     try:
         server.serve_forever()
     finally:

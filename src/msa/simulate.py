@@ -92,9 +92,9 @@ def run_simulation_to_file(
     task: MultiSpeakerTask,
     llm: LlmClient,
     out_dir: str | Path,
-    task_id: str = "task",
-    turns: int = 6,
-    seed: int = 0,
+    task_id: str,
+    turns: int,
+    seed: int,
 ) -> Path:
     """Simulate and write ``<task-id>.<timestamp>.jsonl`` under ``out_dir``."""
     transcript = simulate(task, llm, turns=turns, seed=seed)

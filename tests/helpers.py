@@ -18,6 +18,7 @@ import urllib.request
 from contextlib import contextmanager
 
 from msa.dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
+from msa.dialogue.llm import StubLlmClient
 from msa.dialogue.roles import classify_role
 from msa.dialogue.transcript import DialogueTurn, Transcript
 from msa.errors import EmptyContext
@@ -33,6 +34,7 @@ from msa.scoring.heuristics import (
     TRANSFER_MARKERS,
 )
 from msa.scoring.rubric import SubScores
+from msa.service import MsaHttpServer
 from msa.text import content_tokens
 
 
@@ -302,9 +304,7 @@ def make_transcript(rows: list[tuple[str, str, str]]) -> Transcript:
 
 @contextmanager
 def running_server(llm=None):
-    from msa.service import create_server
-
-    server = create_server("127.0.0.1", 0, llm)
+    server = MsaHttpServer(("127.0.0.1", 0), llm or StubLlmClient())
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

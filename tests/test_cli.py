@@ -231,6 +231,17 @@ def test_config_value_of_another_type_exits_2(tmp_path, monkeypatch, capsys, val
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "task.json"]
 
 
+def test_config_unknown_key_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MSA_OUTPUT_DIR", raising=False)
+    (tmp_path / "task.json").write_text(json.dumps({"a": {}, "b": {}, "task": "x"}))
+    (tmp_path / "conf.json").write_text(json.dumps({"out_dir": "mine"}))
+    assert main(["simulate", "task.json", "--config", "conf.json"]) == 2
+    err = capsys.readouterr().err
+    assert "InvalidRequest" in err and "'out_dir'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "task.json"]
+
+
 def test_config_integer_port_is_read_as_its_decimal_text(monkeypatch, tmp_path):
     started = []
     monkeypatch.setattr(msa.cli, "serve", lambda host, port, llm: started.append(port))

@@ -1,33 +1,121 @@
-"""Every package imports on its own, in a fresh interpreter (no import cycles).
+"""Module layering: every module imports on its own, with no cycles and no leaf importing upward.
 
-``from M import *`` also resolves every name in ``M.__all__``, so an export
-left behind by deleted code fails here.
+The layers are the leaf packages (``gcode``, ``msl``, the dialogue core,
+``scoring``) and the leaf modules ``text``, ``jsonio`` and ``errors``, then
+the composers that wire them together. Each name is imported from the module
+that defines it; the package ``__init__`` files hold only a docstring.
 """
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
-@pytest.mark.parametrize(
-    "module",
-    [
-        "msa.gcode",
-        "msa.msl",
-        "msa.dialogue",
-        "msa.dialogue.pipeline",
-        "msa.scoring",
-        "msa.scoring.stats",
-        "msa.simulate",
-        "msa.service",
-        "msa.cli",
-    ],
-)
+LEAF_PACKAGES = ("msa.gcode", "msa.msl", "msa.dialogue", "msa.scoring")
+LEAF_MODULES = ("msa.text", "msa.jsonio", "msa.errors")
+COMPOSERS = ("msa.dialogue.pipeline", "msa.simulate", "msa.service", "msa.cli", "msa.fixtures")
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+MODULES = {_module_name(path): path for path in sorted(SRC.glob("msa/**/*.py"))}
+
+
+def _module_level_imports(statements: list[ast.stmt]):
+    """Import statements run at import time: not in functions or under ``if TYPE_CHECKING:``."""
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            yield from _module_level_imports(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for block in ("body", "handlers", "orelse", "finalbody"):  # if, try, with, for, class
+                yield from _module_level_imports(getattr(node, block, []))
+
+
+def _ancestors(module: str) -> list[str]:
+    parts = module.split(".")
+    return [".".join(parts[:i]) for i in range(1, len(parts))]
+
+
+def import_graph() -> dict[str, set[str]]:
+    """Module -> the msa modules its import runs.
+
+    Importing ``msa.a.b`` also runs the package ``msa.a``, unless that package
+    is one the importer already sits in.
+    """
+    graph = {}
+    for module, path in MODULES.items():
+        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+        targets = set()
+        for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")).body):
+            if isinstance(node, ast.Import):
+                targets.update(alias.name for alias in node.names)
+                continue
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            source = ".".join(filter(None, (base, node.module)))
+            targets.add(source)
+            targets.update(f"{source}.{alias.name}" for alias in node.names)  # `from pkg import module`
+        own = {module, *_ancestors(module)}
+        graph[module] = {
+            run
+            for target in targets
+            if target in MODULES
+            for run in (*_ancestors(target), target)
+            if run not in own
+        }
+    return graph
+
+
+def _layer(module: str) -> str | None:
+    if module in COMPOSERS:
+        return "composer"
+    if module in LEAF_MODULES or any(module == p or module.startswith(p + ".") for p in LEAF_PACKAGES):
+        return "leaf"
+    return None
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_imports_in_fresh_interpreter(module):
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import {module}; from {module} import *"], capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_graph_has_no_cycle():
+    graph = import_graph()
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> None:
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if module in done:
+            return
+        for target in sorted(graph[module]):
+            visit(target, [*path, module])
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+
+
+def test_every_module_has_a_layer_and_no_leaf_imports_a_composer():
+    graph = import_graph()
+    assert [m for m in sorted(graph) if m != "msa" and _layer(m) is None] == []
+    upward = [
+        f"{module} imports {target}"
+        for module, targets in sorted(graph.items())
+        if _layer(module) == "leaf"
+        for target in sorted(targets)
+        if _layer(target) == "composer"
+    ]
+    assert upward == []

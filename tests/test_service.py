@@ -118,18 +118,25 @@ def test_deeply_nested_body_is_400(path):
     assert (status, body["code"]) == (400, "MalformedJson")
 
 
+def _exchange_until_close(port: int, request: bytes) -> bytes:
+    """Send raw request bytes and read everything the server writes until it closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
 @pytest.mark.parametrize("length", ["abc", "-1", str(MAX_BODY_BYTES + 1)],
                          ids=["non-numeric", "negative", "oversize"])
 def test_bad_content_length_is_400(length):
     with running_server() as port:
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            sock.sendall(
-                f"POST /annotate HTTP/1.1\r\nHost: localhost\r\n"
-                f"Content-Length: {length}\r\n\r\n{{}}".encode("ascii")
-            )
-            reply = b""
-            while chunk := sock.recv(4096):  # the server closes after a bad length
-                reply += chunk
+        reply = _exchange_until_close(
+            port,
+            f"POST /annotate HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}".encode("ascii"),
+        )
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.split(b" ", 2)[1] == b"400"
     assert json.loads(body)["code"] == "InvalidRequest"
@@ -138,17 +145,40 @@ def test_bad_content_length_is_400(length):
 def test_short_body_times_out_with_400(monkeypatch):
     monkeypatch.setattr(MsaRequestHandler, "timeout", 0.5)
     with running_server() as port:
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            sock.sendall(
-                b"POST /annotate HTTP/1.1\r\nHost: localhost\r\n"
-                b"Content-Length: 10\r\n\r\n{}"
-            )
-            reply = b""
-            while chunk := sock.recv(4096):  # the server closes after the timeout
-                reply += chunk
+        reply = _exchange_until_close(
+            port, b"POST /annotate HTTP/1.1\r\nHost: localhost\r\nContent-Length: 10\r\n\r\n{}"
+        )
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.split(b" ", 2)[1] == b"400"
     assert json.loads(body)["code"] == "InvalidRequest"
+
+
+def test_chunked_body_gets_one_json_reply_then_eof():
+    graph = b'{"nodes": ["a"], "edges": []}'
+    request = (
+        b"POST /analyze_graph HTTP/1.1\r\nHost: localhost\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n%s\r\n0\r\n\r\n" % (len(graph), graph)
+    )
+    with running_server() as port:
+        reply = _exchange_until_close(port, request)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"400"
+    assert json.loads(body)["code"] == "InvalidRequest"  # one JSON document: no second reply
+
+
+@pytest.mark.parametrize("method", ["PUT", "HEAD"])
+def test_unsupported_method_is_json_501(method):
+    request = f"{method} /health HTTP/1.1\r\nHost: localhost\r\n\r\n".encode("ascii")
+    with running_server() as port:
+        reply = _exchange_until_close(port, request)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"501"
+    assert b"\r\nConnection: close\r\n" in head
+    if method == "HEAD":
+        assert body == b""
+    else:
+        expected = {"code": "NotImplemented", "message": "Unsupported method ('PUT')"}
+        assert json.loads(body) == expected
 
 
 def test_unknown_path_is_404():

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import msa.dialogue.commitments
+import msa.dialogue.pipeline
 import msa.simulate
 from msa.dialogue.llm import StubLlmClient
 from msa.errors import InvalidRequest, LlmUnavailable, MalformedJson, UnknownValue
@@ -223,3 +225,30 @@ def test_per_reply_cost_is_flat_as_the_transcript_grows():
     short = best_seconds(lambda: simulate(task, _Committing(), turns=50)) / 50
     long = best_seconds(lambda: simulate(task, _Committing(), turns=200), repeats=3) / 200
     assert long / short < 2.5, f"{long / short:.1f}x per reply at 200 turns vs 50"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="every reply replays the whole context, so it folds every earlier turn again; "
+    "ROADMAP item 3, the DialogueSession, folds each turn once",
+)
+def test_chain_folds_per_reply_are_flat_as_the_transcript_grows(monkeypatch):
+    # The work counter beside the ratio gate above: deterministic, no wall clock.
+    # replay() looks update_commitments up in its own module, run_pipeline in its.
+    folds = 0
+    fold = msa.dialogue.commitments.update_commitments
+
+    def counting(state, turn):
+        nonlocal folds
+        folds += 1
+        return fold(state, turn)
+
+    for module in (msa.dialogue.commitments, msa.dialogue.pipeline):
+        monkeypatch.setattr(module, "update_commitments", counting)
+    task = MultiSpeakerTask.from_obj(TASK_OBJ)
+    per_reply = {}
+    for turns in (50, 200):
+        folds = 0
+        simulate(task, _Committing(), turns=turns)
+        per_reply[turns] = folds / turns
+    assert per_reply[200] <= per_reply[50], f"chain folds per reply: {per_reply}"

@@ -22,6 +22,7 @@ EXEMPT = {
     "MsaRequestHandler.do_GET": "BaseHTTPRequestHandler dispatches GET requests to it",
     "MsaRequestHandler.do_POST": "BaseHTTPRequestHandler dispatches POST requests to it",
     "MsaRequestHandler.log_message": "BaseHTTPRequestHandler calls it for every request log line",
+    "MsaRequestHandler.send_error": "BaseHTTPRequestHandler calls it for requests it refuses itself",
 }
 
 
