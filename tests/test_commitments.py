@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -67,6 +68,35 @@ def test_transfer_requires_target():
     assert moved.transferred_to == "b"
     assert moved.holder == "a"
     assert not moved.is_live
+
+
+S = CommitmentStatus
+LIFECYCLE = {  # the lifecycle table, as allowed target sets
+    S.ACTIVE: {S.UPDATED, S.TRANSFERRED, S.CLOSED, S.ABANDONED},
+    S.UPDATED: {S.UPDATED, S.TRANSFERRED, S.CLOSED, S.ABANDONED},
+    S.TRANSFERRED: set(),
+    S.CLOSED: set(),
+    S.ABANDONED: set(),
+}
+
+
+@pytest.mark.parametrize("source", list(S), ids=lambda s: s.value)
+@pytest.mark.parametrize("status", list(S), ids=lambda s: s.value)
+def test_lifecycle_table(source, status):
+    commitment = replace(fresh(), status=source)
+    for target in ("b", "", None):
+        if status not in LIFECYCLE[source]:
+            expected = f"commitment c0: {source.value} -> {status.value} is not allowed"
+        elif status is S.TRANSFERRED and not target:
+            expected = "commitment c0: transfer needs a target speaker"
+        else:
+            moved = commitment.transition(status, turn_index=7, target=target)
+            assert moved.status is status
+            assert moved.transferred_to == (target if status is S.TRANSFERRED else None)
+            continue
+        with pytest.raises(InvalidTransition) as err:
+            commitment.transition(status, turn_index=7, target=target)
+        assert str(err.value) == expected
 
 
 def test_transition_records_history():
