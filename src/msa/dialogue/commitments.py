@@ -36,24 +36,6 @@ class CommitmentStatus(Enum):
     ABANDONED = "abandoned"
 
 
-_ALLOWED = {
-    CommitmentStatus.ACTIVE: {
-        CommitmentStatus.UPDATED,
-        CommitmentStatus.TRANSFERRED,
-        CommitmentStatus.CLOSED,
-        CommitmentStatus.ABANDONED,
-    },
-    CommitmentStatus.UPDATED: {
-        CommitmentStatus.UPDATED,
-        CommitmentStatus.TRANSFERRED,
-        CommitmentStatus.CLOSED,
-        CommitmentStatus.ABANDONED,
-    },
-    CommitmentStatus.TRANSFERRED: set(),
-    CommitmentStatus.CLOSED: set(),
-    CommitmentStatus.ABANDONED: set(),
-}
-
 LIVE_STATUSES = (CommitmentStatus.ACTIVE, CommitmentStatus.UPDATED)
 
 
@@ -76,7 +58,7 @@ class Commitment:
     def transition(
         self, status: CommitmentStatus, turn_index: int, target: str | None = None
     ) -> "Commitment":
-        if status not in _ALLOWED[self.status]:
+        if not self.is_live or status is CommitmentStatus.ACTIVE:  # the state machine above
             raise InvalidTransition(
                 f"commitment {self.id}: {self.status.value} -> {status.value} is not allowed"
             )

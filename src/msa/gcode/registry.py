@@ -2,13 +2,10 @@
 
 ``VOCABULARY`` holds all 19 tag values, in the canonical dimension order, the
 way ``dimensions.py`` holds the prefixes. It is the one copy of the
-vocabulary; the tag parsers check values against it through ``TagRegistry``.
+vocabulary; the tag parsers check values against it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Mapping
 
 from .dimensions import Dimension
 
@@ -22,19 +19,6 @@ VOCABULARY: dict[Dimension, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class TagRegistry:
-    """Immutable vocabulary: permitted values per dimension."""
-
-    vocab: Mapping[Dimension, frozenset[str]]
-
-    def is_registered(self, dimension: Dimension, value: str) -> bool:
-        return value in self.vocab[dimension]
-
-
-_REGISTRY = TagRegistry(vocab={dim: frozenset(values) for dim, values in VOCABULARY.items()})
-
-
-def load_registry() -> TagRegistry:
-    """The registry over ``VOCABULARY``, built once at import."""
-    return _REGISTRY
+def load_registry() -> dict[Dimension, tuple[str, ...]]:
+    """The vocabulary the tag parsers check against: ``VOCABULARY`` itself."""
+    return VOCABULARY

@@ -21,7 +21,7 @@ from ..errors import (
 )
 from ..jsonio import parse_json
 from .dimensions import DIMENSION_BY_KEY, DIMENSION_BY_PREFIX, DIMENSION_ORDER, Dimension
-from .registry import TagRegistry, load_registry
+from .registry import VOCABULARY
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class SpeakerModuleConfig:
         return {"speaker_module": self.to_keyed_object()}
 
 
-def parse_tag(surface: str, registry: TagRegistry | None = None) -> GCodeTag:
+def parse_tag(surface: str, registry: Mapping[Dimension, Sequence[str]] | None = None) -> GCodeTag:
     """Parse one tag surface into a canonical GCodeTag.
 
     Raises:
@@ -92,20 +92,20 @@ def parse_tag(surface: str, registry: TagRegistry | None = None) -> GCodeTag:
     if dimension is None:
         raise UnknownPrefix(f"{surface!r}: unknown prefix {prefix!r}")
     value = value_part.upper()
-    reg = registry or load_registry()
-    if not reg.is_registered(dimension, value):
+    reg = registry or VOCABULARY
+    if value not in reg[dimension]:
         raise UnknownValue(f"{surface!r}: {value!r} is not registered for {dimension.name}")
     return GCodeTag(dimension=dimension, value=value)
 
 
 def parse_tag_list(
-    surfaces: Sequence[str], registry: TagRegistry | None = None
+    surfaces: Sequence[str], registry: Mapping[Dimension, Sequence[str]] | None = None
 ) -> SpeakerModuleConfig:
     """Parse a sequence of tag surfaces into a config.
 
     Raises DuplicateDimension when two tags target the same dimension.
     """
-    reg = registry or load_registry()
+    reg = registry or VOCABULARY
     tags: list[GCodeTag] = []
     seen: set[Dimension] = set()
     for surface in surfaces:
@@ -120,10 +120,10 @@ def parse_tag_list(
 
 
 def config_from_keyed_object(
-    obj: Mapping[str, object], registry: TagRegistry | None = None
+    obj: Mapping[str, object], registry: Mapping[Dimension, Sequence[str]] | None = None
 ) -> SpeakerModuleConfig:
     """Build a config from an already-parsed keyed object."""
-    reg = registry or load_registry()
+    reg = registry or VOCABULARY
     tags: list[GCodeTag] = []
     for key, raw_value in obj.items():
         dimension = DIMENSION_BY_KEY.get(str(key).lower())
@@ -132,14 +132,14 @@ def config_from_keyed_object(
         if not isinstance(raw_value, str):
             raise UnknownValue(f"{key}: value must be a string, got {raw_value!r}")
         value = raw_value.upper()
-        if not reg.is_registered(dimension, value):
+        if value not in reg[dimension]:
             raise UnknownValue(f"{key}: {raw_value!r} is not registered for {dimension.name}")
         tags.append(GCodeTag(dimension=dimension, value=value))
     return SpeakerModuleConfig(tags=tuple(tags))
 
 
 def speaker_module_from_obj(
-    obj: object, registry: TagRegistry | None = None
+    obj: object, registry: Mapping[Dimension, Sequence[str]] | None = None
 ) -> SpeakerModuleConfig:
     """Accept either wire form of a speaker module.
 
@@ -157,7 +157,9 @@ def speaker_module_from_obj(
     )
 
 
-def parse_config_document(json_text: str, registry: TagRegistry | None = None) -> SpeakerModuleConfig:
+def parse_config_document(
+    json_text: str, registry: Mapping[Dimension, Sequence[str]] | None = None
+) -> SpeakerModuleConfig:
     """Parse any accepted JSON document form of a speaker module."""
     return speaker_module_from_obj(parse_json(json_text, ""), registry)
 

@@ -46,12 +46,7 @@ class ResponsibilityEdge:
         label = obj.get("label")
         if label is not None and not isinstance(label, str):
             raise MalformedJson(f"label must be a string, got {label!r}")
-        return cls(
-            source=_check_speaker(obj["from"]),
-            target=_check_speaker(obj["to"]),
-            utterance_index=index,
-            label=label,
-        )
+        return cls(source=obj["from"], target=obj["to"], utterance_index=index, label=label)
 
 
 @dataclass(frozen=True)

@@ -69,16 +69,6 @@ class RuleFinding:
     severity: str
 
 
-@dataclass
-class OpCounter:
-    """Counts predicate evaluations for the exact-work contract."""
-
-    count: int = 0
-
-    def bump(self) -> None:
-        self.count += 1
-
-
 def _window_texts(transcript: "Transcript", i: int, window: int) -> list[str]:
     lo = max(0, i - window)
     return [turn.text for turn in transcript.turns[lo:i]]
@@ -109,19 +99,12 @@ def _holds(rule: ContextRule, transcript: "Transcript", i: int) -> bool:
 
 
 def check_context_constraints(
-    transcript: "Transcript",
-    rules: Sequence[ContextRule],
-    counter: OpCounter | None = None,
+    transcript: "Transcript", rules: Sequence[ContextRule]
 ) -> list[RuleFinding]:
-    """Evaluate every rule against every utterance, exactly once each.
-
-    Pass an OpCounter to observe the n*m evaluation count.
-    """
+    """Evaluate every rule against every utterance, exactly once each."""
     findings: list[RuleFinding] = []
     for i in range(len(transcript.turns)):
         for rule in rules:
-            if counter is not None:
-                counter.bump()
             if not _holds(rule, transcript, i):
                 findings.append(
                     RuleFinding(rule_id=rule.rule_id, utterance_index=i, severity=rule.severity)

@@ -22,6 +22,7 @@ import json
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import takewhile
+from typing import Mapping, Sequence
 
 from .dialogue.llm import LlmClient
 from .dialogue.transcript import DialogueTurn, Transcript
@@ -33,7 +34,8 @@ from .errors import (
     MalformedJson,
     MsaError,
 )
-from .gcode.registry import TagRegistry, load_registry
+from .gcode.dimensions import Dimension
+from .gcode.registry import load_registry
 from .gcode.tags import build_prompt_directives, speaker_module_from_obj
 from .jsonio import parse_json
 from .msl.cycles import cyclic_components, detect_closed_loops
@@ -67,7 +69,10 @@ def analyze_graph_report(graph: ResponsibilityGraph) -> dict[str, object]:
 
 
 def generate_output(
-    prompt: str, speaker_module: object, llm: LlmClient, registry: TagRegistry
+    prompt: str,
+    speaker_module: object,
+    llm: LlmClient,
+    registry: Mapping[Dimension, Sequence[str]],
 ) -> dict[str, str]:
     if not isinstance(prompt, str) or not prompt.strip():
         raise InvalidRequest("prompt must be a non-empty string")
@@ -84,7 +89,6 @@ class MsaHttpServer(ThreadingHTTPServer):
 
     def __init__(self, address: tuple[str, int], llm: LlmClient) -> None:
         self.llm = llm
-        self.registry = load_registry()
         super().__init__(address, MsaRequestHandler)
 
 
@@ -96,7 +100,10 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # keep test output quiet; operators can wrap serve() for logging
 
-    def _send(self, status: int, body: bytes, close: bool = False) -> None:
+    def _send(self, status: int, body: dict[str, object] | bytes, close: bool = False) -> None:
+        """Reply with ``body``: bytes as they are, a dict as one line of JSON."""
+        if isinstance(body, dict):
+            body = (json.dumps(body, ensure_ascii=False) + "\n").encode("utf-8")
         self.send_response(status)
         if close:
             self.send_header("Connection", "close")  # send_header also sets close_connection on it
@@ -106,12 +113,6 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         if self.command != "HEAD":
             self.wfile.write(body)
 
-    def _send_json(self, status: int, payload: dict[str, object]) -> None:
-        self._send(status, (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"))
-
-    def _send_error(self, status: int, code: str, message: str) -> None:
-        self._send_json(status, {"code": code, "message": message})
-
     def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
         """Answer http.server's own refusals (400, 414, 431, 501, 505) as structured JSON.
 
@@ -119,9 +120,10 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         NotImplemented. The request was not read to its end, so the
         connection closes after the reply.
         """
+        self.request_version = "HTTP/1.1"  # a line with no valid version would get the HTTP/0.9 form
         phrase = HTTPStatus(code).phrase
         payload = {"code": "".join(filter(str.isalnum, phrase)), "message": message or phrase}
-        self._send(code, (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8"), close=True)
+        self._send(code, payload, close=True)
 
     def _read_body(self) -> object:
         if "Transfer-Encoding" in self.headers:
@@ -147,10 +149,15 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         return parse_json(raw, "")
 
     def do_GET(self) -> None:
-        if self.path == "/health":
-            self._send_json(200, {"status": "ok"})
+        declared = (self.headers.get("Content-Length") or "").strip().lstrip("0")
+        if declared or "Transfer-Encoding" in self.headers:
+            # the body is not read: left unread, it would parse as the next request
+            message = f"GET {self.path} takes no body"
+            self._send(400, {"code": "InvalidRequest", "message": message}, close=True)
+        elif self.path == "/health":
+            self._send(200, {"status": "ok"})
         else:
-            self._send_error(404, "NotFound", f"no route for GET {self.path}")
+            self._send(404, {"code": "NotFound", "message": f"no route for GET {self.path}"})
 
     def do_POST(self) -> None:
         try:
@@ -164,9 +171,9 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
                     body.get("prompt", ""),
                     body["speaker_module"],
                     self.server.llm,
-                    self.server.registry,
+                    load_registry(),
                 )
-                self._send_json(200, payload)
+                self._send(200, payload)
             elif self.path == "/annotate":
                 if not isinstance(body, dict) or "turns" not in body:
                     raise InvalidRequest("request needs a 'turns' array")
@@ -180,17 +187,17 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
                 if not isinstance(body, dict):
                     raise InvalidRequest("request body must be a JSON object")
                 graph = ResponsibilityGraph.from_dict(body)
-                self._send_json(200, analyze_graph_report(graph))
+                self._send(200, analyze_graph_report(graph))
             else:
-                self._send_error(404, "NotFound", f"no route for POST {self.path}")
+                self._send(404, {"code": "NotFound", "message": f"no route for POST {self.path}"})
         except LlmTimeout as exc:
-            self._send_error(504, exc.code, str(exc))
+            self._send(504, {"code": exc.code, "message": str(exc)})
         except LlmUnavailable as exc:
-            self._send_error(502, exc.code, str(exc))
+            self._send(502, {"code": exc.code, "message": str(exc)})
         except MsaError as exc:
-            self._send_error(400, exc.code, str(exc))
+            self._send(400, {"code": exc.code, "message": str(exc)})
         except Exception as exc:  # pragma: no cover - last-resort guard
-            self._send_error(500, "InternalError", str(exc))
+            self._send(500, {"code": "InternalError", "message": str(exc)})
 
 
 def serve(host: str, port: int, llm: LlmClient) -> None:

@@ -13,16 +13,17 @@ import time
 
 from scipy import stats as scipy_stats
 
+import msa.msl.rules
 from msa.dialogue.commitments import ChainState, Commitment, CommitmentStatus
 from msa.dialogue.drift import detect_drift
 from msa.dialogue.llm import StubLlmClient
 from msa.dialogue.transcript import PragmaticRole
 from msa.fixtures import FIXTURE_CASES, load_fixture
-from msa.gcode.registry import load_registry
+from msa.gcode.registry import VOCABULARY
 from msa.gcode.tags import GCodeTag, parse_config_document, parse_tag
 from msa.msl.cycles import detect_closed_loops
 from msa.msl.graph import ResponsibilityGraph, detect_partial_drift
-from msa.msl.rules import ContextRule, OpCounter, check_context_constraints
+from msa.msl.rules import ContextRule, check_context_constraints
 from msa.scoring.heuristics import heuristic_score
 from msa.scoring.rubric import all_totals, shift_rate_percent
 from msa.scoring.stats import GroupStats, mean_confidence_interval, two_sample_t
@@ -108,7 +109,7 @@ def test_criterion_3_msl_oracle_equivalence():
     )
 
 
-def test_criterion_4_complexity_contracts():
+def test_criterion_4_complexity_contracts(monkeypatch):
     # The two graph builds the system runs: from_dict behind `msa graph` and
     # /analyze_graph, and ChainState.graph behind the dialogue chain. A build
     # that copies its edge list per edge reads about 10x per edge at 10x the
@@ -155,15 +156,22 @@ def test_criterion_4_complexity_contracts():
         ContextRule("k3", predicate="max-new-token-ratio", arg=0.9),
         ContextRule("k4", predicate="topic-anchor-presence", arg="number"),
     ]
-    counter = OpCounter()
-    check_context_constraints(transcript, rules, counter=counter)
-    exact = counter.count == 23 * 4
+    calls = []
+    holds = msa.msl.rules._holds
+
+    def counting(*args):
+        calls.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(msa.msl.rules, "_holds", counting)
+    check_context_constraints(transcript, rules)
+    exact = len(calls) == 23 * 4
 
     _verdict(
         4,
         linear and exact,
         "; ".join(f"{name} per-edge time x{r:.2f} at 10x size <= 3" for name, r in ratios.items())
-        + f"; {counter.count} == 23*4 evaluations",
+        + f"; {len(calls)} == 23*4 evaluations",
     )
 
 
@@ -254,9 +262,8 @@ def test_criterion_7_drift_boundaries():
 
 
 def test_criterion_8_dsl_round_trip_and_service():
-    registry = load_registry()
     surfaces = sorted(
-        GCodeTag(dim, value).surface for dim, values in registry.vocab.items() for value in values
+        GCodeTag(dim, value).surface for dim, values in VOCABULARY.items() for value in values
     )
     round_trip_ok = all(parse_tag(parse_tag(s).surface).surface == s for s in surfaces)
     count_ok = len(surfaces) >= 17  # every registered tag; registry carries 19

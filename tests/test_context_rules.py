@@ -6,12 +6,12 @@ import json
 
 import pytest
 
+import msa.msl.rules
 from msa.errors import MalformedJson
 from msa.fixtures import load_fixture
 from msa.msl.rules import (
     DEFAULT_WINDOW,
     ContextRule,
-    OpCounter,
     check_context_constraints,
     load_context_rules,
 )
@@ -36,12 +36,19 @@ def test_keyword_absence_flags_occurrence():
     assert findings[0].severity == "violation"
 
 
-def test_exact_evaluation_count_n_times_m():
+def test_exact_evaluation_count_n_times_m(monkeypatch):
     transcript = texts(*[f"turn {i} budget" for i in range(7)])
     rules = [PRESENT, ABSENT, ContextRule("r-new", predicate="max-new-token-ratio", arg=0.9)]
-    counter = OpCounter()
-    check_context_constraints(transcript, rules, counter=counter)
-    assert counter.count == 7 * 3
+    calls = []
+    holds = msa.msl.rules._holds
+
+    def counting(*args):
+        calls.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(msa.msl.rules, "_holds", counting)
+    check_context_constraints(transcript, rules)
+    assert len(calls) == 7 * 3
 
 
 def test_findings_ordered_by_turn_then_rule_position():

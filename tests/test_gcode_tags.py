@@ -27,15 +27,13 @@ from msa.gcode.tags import (
     parse_tag_list,
 )
 
-REGISTRY = load_registry()
-
 ALL_SURFACES = sorted(
-    GCodeTag(dim, value).surface for dim, values in REGISTRY.vocab.items() for value in values
+    GCodeTag(dim, value).surface for dim, values in VOCABULARY.items() for value in values
 )
 
 
 def test_registry_shape():
-    assert sum(len(values) for values in REGISTRY.vocab.values()) == 19
+    assert sum(len(values) for values in VOCABULARY.values()) == 19
     assert {d.key for d in Dimension} == {
         "tone",
         "position",
@@ -44,9 +42,7 @@ def test_registry_shape():
         "logical_flow",
         "affective_tension",
     }
-    assert REGISTRY.vocab[Dimension.TONE] == frozenset(
-        {"NEUTRAL", "ASSERTIVE", "SOFTASSERT", "HIGHASSERT"}
-    )
+    assert set(VOCABULARY[Dimension.TONE]) == {"NEUTRAL", "ASSERTIVE", "SOFTASSERT", "HIGHASSERT"}
 
 
 def test_vocabulary_is_well_formed():
@@ -56,7 +52,7 @@ def test_vocabulary_is_well_formed():
         assert len(set(values)) == len(values), dimension
         for value in values:
             assert value.isascii() and value.isalpha() and value == value.upper(), value
-        assert REGISTRY.vocab[dimension] == frozenset(values)
+    assert load_registry() is VOCABULARY
 
 
 def test_parse_single_tag():

@@ -8,7 +8,6 @@ import pytest
 
 from msa.errors import EmptyContext
 from msa.fixtures import load_fixture
-from msa.msl.rules import OpCounter
 from msa.scoring import heuristics
 from msa.scoring.heuristics import CONFIDENCE, auto_annotate, heuristic_score
 from helpers import make_transcript, reference_auto_annotate
@@ -188,15 +187,15 @@ def test_annotate_single_speaker_matches_oracle():
 
 @pytest.mark.parametrize("n_turns", [6, 600])
 def test_annotate_tokenizes_each_turn_once(monkeypatch, n_turns):
-    counter = OpCounter()
+    calls = []
     tokenize = heuristics.content_tokens
 
     def counting(text, *args, **kwargs):
-        counter.bump()
+        calls.append(text)
         return tokenize(text, *args, **kwargs)
 
     monkeypatch.setattr(heuristics, "content_tokens", counting)
     rows = [("ab"[i % 2], f"turn {i} keeps the budget review going.", "user")
             for i in range(n_turns)]
     auto_annotate(dialog(*rows))
-    assert counter.count == n_turns
+    assert len(calls) == n_turns

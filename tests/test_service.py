@@ -166,6 +166,37 @@ def test_chunked_body_gets_one_json_reply_then_eof():
     assert json.loads(body)["code"] == "InvalidRequest"  # one JSON document: no second reply
 
 
+@pytest.mark.parametrize(
+    "framing,body",
+    [("Content-Length: 12", b"XYZW 1 2 3\r\n"), ("Transfer-Encoding: chunked", b"0\r\n\r\n")],
+    ids=["content-length", "chunked"],
+)
+def test_get_with_a_body_gets_one_400_then_eof(framing, body):
+    request = f"GET /health HTTP/1.1\r\nHost: localhost\r\n{framing}\r\n\r\n".encode("ascii") + body
+    with running_server() as port:
+        reply = _exchange_until_close(port, request)
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"400"
+    assert b"\r\nConnection: close\r\n" in head
+    expected = {"code": "InvalidRequest", "message": "GET /health takes no body"}
+    assert json.loads(rest) == expected  # one JSON document: the body got no reply of its own
+
+
+@pytest.mark.parametrize(
+    "line,status,code",
+    [("GET /health HTTP/x.y", b"400", "BadRequest"),
+     ("GET /health HTTP/2.0", b"505", "HTTPVersionNotSupported")],
+    ids=["no-valid-version", "version-2"],
+)
+def test_refused_request_line_gets_a_status_line(line, status, code):
+    with running_server() as port:
+        reply = _exchange_until_close(port, f"{line}\r\n\r\n".encode("ascii"))
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[:2] == [b"HTTP/1.1", status]
+    assert b"\r\nConnection: close\r\n" in head
+    assert json.loads(body)["code"] == code
+
+
 @pytest.mark.parametrize("method", ["PUT", "HEAD"])
 def test_unsupported_method_is_json_501(method):
     request = f"{method} /health HTTP/1.1\r\nHost: localhost\r\n\r\n".encode("ascii")
