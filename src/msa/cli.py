@@ -190,9 +190,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host = resolve_setting("host", args.host, config)
     port = _port(resolve_setting("port", args.port, config))
     llm_name = resolve_setting("llm", args.llm, config)
-    llm = client_from_name(llm_name)
-    print(f"listening on http://{host}:{port}", file=sys.stderr)
-    serve(host, port, llm)
+    serve(host, port, client_from_name(llm_name))
     return 0
 
 

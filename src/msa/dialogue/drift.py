@@ -22,7 +22,7 @@ class DriftReport:
     turn_index: int
     overlap_ratio: float
     drifted: bool
-    realignment: str | None = None
+    realignment: str | None
 
 
 REALIGNMENT_EXCERPT_CHARS = 120
@@ -41,7 +41,7 @@ def generate_realignment(last_user_text: str) -> str:
     return f"(please confirm first: '{excerpt}')"
 
 
-def detect_drift(prev_text: str, curr_text: str, *, turn_index: int = 0) -> DriftReport:
+def detect_drift(prev_text: str, curr_text: str, *, turn_index: int) -> DriftReport:
     """Compare the current utterance against the previous one.
 
     Both texts are lowercased and stripped of ASCII punctuation before

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ class StubLlmClient:
 @dataclass(frozen=True)
 class RemoteLlmClient:
     base_url: str
-    model: str = "default"
+    model: str
     token: str | None = None
     timeout: float = 30.0
     retries: int = 2
@@ -92,10 +91,10 @@ class RemoteLlmClient:
                     if not isinstance(output, str) or not output:
                         raise LlmUnavailable(f"backend returned no 'output' text: {body!r}")
                     return output
-            except (socket.timeout, TimeoutError) as exc:
+            except TimeoutError as exc:
                 last_error, timed_out = exc, True
             except urllib.error.URLError as exc:
-                if isinstance(exc.reason, (socket.timeout, TimeoutError)):
+                if isinstance(exc.reason, TimeoutError):
                     timed_out = True
                 last_error = exc
             except (OSError, ValueError, MalformedJson) as exc:

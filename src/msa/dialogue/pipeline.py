@@ -45,14 +45,13 @@ def run_pipeline(
     context: Transcript,
     prev_tags: SpeakerModuleConfig,
     llm: LlmClient,
-    speaker: str | None = None,
+    speaker: str,
 ) -> PipelineResult:
-    """Produce one reply turn and the bookkeeping around it.
+    """Produce one reply turn, credited to ``speaker``, and the bookkeeping around it.
 
-    The reply is credited to ``speaker``, or to its assigned turn role when
-    no speaker is named. Raises EmptyContext for an empty context and
-    LlmUnavailable for an empty reply; client errors propagate after the
-    client's own retry policy is exhausted.
+    Raises EmptyContext for an empty context and LlmUnavailable for an empty
+    reply; client errors propagate after the client's own retry policy is
+    exhausted.
     """
     if not context.turns:
         raise EmptyContext("pipeline needs at least one turn of context")
@@ -81,7 +80,7 @@ def run_pipeline(
     if not reply_text:
         raise LlmUnavailable(f"client returned an empty reply for turn {context.next_index}")
     reply = DialogueTurn(
-        speaker=speaker or turn_role,
+        speaker=speaker,
         text=reply_text,
         turn_role=turn_role,
         function_role=function_role,

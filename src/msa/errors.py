@@ -79,10 +79,6 @@ class RangeViolation(MsaError):
     pass
 
 
-class TooFewTurns(MsaError):
-    pass
-
-
 class DegenerateVariance(MsaError):
     pass
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..errors import EmptyContext
-from .dimensions import Dimension
+from .registry import Dimension
 from .tags import GCodeTag, SpeakerModuleConfig
 
 if TYPE_CHECKING:

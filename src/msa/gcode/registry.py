@@ -1,22 +1,46 @@
-"""The closed tag vocabulary: the values each dimension permits.
+"""The tag language's one table: the six dimensions, their prefixes and their values.
 
-``VOCABULARY`` holds all 19 tag values, in the canonical dimension order, the
-way ``dimensions.py`` holds the prefixes. It is the one copy of the
-vocabulary; the tag parsers check values against it.
+``Dimension`` lists the control dimensions in canonical serialization order.
+Each has one surface prefix and a closed set of values, 19 in all, which the
+tag parsers check against.
 """
 
 from __future__ import annotations
 
-from .dimensions import Dimension
+from enum import Enum
 
-VOCABULARY: dict[Dimension, tuple[str, ...]] = {
-    Dimension.TONE: ("NEUTRAL", "ASSERTIVE", "SOFTASSERT", "HIGHASSERT"),
-    Dimension.POSITION: ("SELFREF", "DETACH", "SHADOW"),
-    Dimension.CLOSURE: ("LOOP", "CUT", "SINK"),
-    Dimension.CONTEXT_ALIGNMENT: ("MIRROR", "MERGE", "STANDALONE"),
-    Dimension.LOGICAL_FLOW: ("CASCADE", "PIVOT", "SCATTER"),
-    Dimension.AFFECTIVE_TENSION: ("FLAT", "TIGHT", "DRIFT"),
+
+class Dimension(Enum):
+    """Closed set of control dimensions; a value is its keyed-object JSON key."""
+
+    TONE = "tone"
+    POSITION = "position"
+    CLOSURE = "closure"
+    CONTEXT_ALIGNMENT = "context_alignment"
+    LOGICAL_FLOW = "logical_flow"
+    AFFECTIVE_TENSION = "affective_tension"
+
+    @property
+    def prefix(self) -> str:
+        """Surface prefix used by the ``#<PREFIX>_<VALUE>`` form."""
+        return _TABLE[self][0]
+
+
+# dimension: (surface prefix, permitted values), in canonical order
+_TABLE = {
+    Dimension.TONE: ("T", ("NEUTRAL", "ASSERTIVE", "SOFTASSERT", "HIGHASSERT")),
+    Dimension.POSITION: ("P", ("SELFREF", "DETACH", "SHADOW")),
+    Dimension.CLOSURE: ("C", ("LOOP", "CUT", "SINK")),
+    Dimension.CONTEXT_ALIGNMENT: ("CTX", ("MIRROR", "MERGE", "STANDALONE")),
+    Dimension.LOGICAL_FLOW: ("L", ("CASCADE", "PIVOT", "SCATTER")),
+    Dimension.AFFECTIVE_TENSION: ("E", ("FLAT", "TIGHT", "DRIFT")),
 }
+
+DIMENSION_ORDER: tuple[Dimension, ...] = tuple(Dimension)
+VOCABULARY: dict[Dimension, tuple[str, ...]] = {dim: values for dim, (_, values) in _TABLE.items()}
+# the prefixes are distinct, so both lookups are total
+DIMENSION_BY_PREFIX = {prefix: dim for dim, (prefix, _) in _TABLE.items()}
+DIMENSION_BY_KEY = {dim.value: dim for dim in Dimension}
 
 
 def load_registry() -> dict[Dimension, tuple[str, ...]]:

@@ -20,8 +20,7 @@ from ..errors import (
     UnknownValue,
 )
 from ..jsonio import parse_json
-from .dimensions import DIMENSION_BY_KEY, DIMENSION_BY_PREFIX, DIMENSION_ORDER, Dimension
-from .registry import VOCABULARY
+from .registry import DIMENSION_BY_KEY, DIMENSION_BY_PREFIX, DIMENSION_ORDER, VOCABULARY, Dimension
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class SpeakerModuleConfig:
         return SpeakerModuleConfig(tags=kept + (tag,))
 
     def to_keyed_object(self) -> dict[str, str]:
-        return {tag.dimension.key: tag.value for tag in self.tags}
+        return {tag.dimension.value: tag.value for tag in self.tags}
 
     def to_document(self) -> dict[str, dict[str, str]]:
         """The single-speaker configuration document shape."""
@@ -170,4 +169,4 @@ def build_prompt_directives(config: SpeakerModuleConfig) -> str:
     One ``[KEY=VALUE]`` segment per configured dimension, space-joined, in
     canonical dimension order. Pure: no I/O, no hidden state.
     """
-    return " ".join(f"[{tag.dimension.key.upper()}={tag.value}]" for tag in config.tags)
+    return " ".join(f"[{tag.dimension.value.upper()}={tag.value}]" for tag in config.tags)

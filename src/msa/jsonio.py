@@ -11,14 +11,23 @@ import json
 from .errors import MalformedJson
 
 
+def _refuse_constant(name: str) -> object:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# json accepts NaN, Infinity and -Infinity by default; JSON itself does not
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def parse_json(data: str | bytes, source: str) -> object:
     """Decode one JSON document; bytes must be UTF-8.
 
-    A document that is not UTF-8, is not JSON, or nests deeper than the
-    decoder's recursion limit raises MalformedJson. The message starts with
-    ``source`` (a path, or ``path:line``) unless it is empty.
+    A document that is not UTF-8, is not JSON (``NaN``, ``Infinity`` and
+    ``-Infinity`` included), or nests deeper than the decoder's recursion
+    limit raises MalformedJson. The message starts with ``source`` (a path,
+    or ``path:line``) unless it is empty.
     """
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
         raise MalformedJson(f"{source}: {exc}" if source else str(exc)) from exc

@@ -54,12 +54,6 @@ class ResponsibilityGraph:
     nodes: frozenset[SpeakerId] = frozenset()
     edges: tuple[ResponsibilityEdge, ...] = ()
 
-    def out_degree(self) -> dict[SpeakerId, int]:
-        degree = {node: 0 for node in self.nodes}
-        for edge in self.edges:
-            degree[edge.source] += 1
-        return degree
-
     def adjacency(self) -> dict[SpeakerId, set[SpeakerId]]:
         """Successor sets with parallel edges collapsed."""
         adj: dict[SpeakerId, set[SpeakerId]] = {node: set() for node in self.nodes}
@@ -88,8 +82,7 @@ class ResponsibilityGraph:
 
 def detect_partial_drift(graph: ResponsibilityGraph) -> frozenset[SpeakerId]:
     """Speakers that never transfer responsibility onward (out-degree zero)."""
-    degree = graph.out_degree()
-    return frozenset(node for node, out in degree.items() if out == 0)
+    return graph.nodes - {edge.source for edge in graph.edges}
 
 
 def transitive_closure(graph: ResponsibilityGraph) -> frozenset[tuple[SpeakerId, SpeakerId]]:

@@ -17,7 +17,8 @@ Predicate semantics (a finding marks an utterance that violates the rule):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence, TYPE_CHECKING
 
@@ -56,6 +57,8 @@ class ContextRule:
         if self.predicate == "max-new-token-ratio":
             if not isinstance(self.arg, (int, float)) or isinstance(self.arg, bool):
                 raise MalformedJson("max-new-token-ratio needs a numeric arg")
+            if not abs(self.arg) <= sys.float_info.max:  # NaN, infinities and ints past float range
+                raise MalformedJson(f"max-new-token-ratio needs a finite arg, got {self.arg!r}")
         elif not isinstance(self.arg, str) or not self.arg:
             raise MalformedJson(f"{self.predicate} needs a non-empty string arg")
         if type(self.window) is not int or self.window < 1:  # bool is an int subclass
@@ -112,8 +115,14 @@ def check_context_constraints(
     return findings
 
 
+_RULE_KEYS = tuple(field.name for field in fields(ContextRule))
+
+
 def load_context_rules(path: str | Path) -> list[ContextRule]:
-    """Read an ordered rules file (JSON array of rule objects)."""
+    """Read an ordered rules file (JSON array of rule objects).
+
+    A rule's keys are ContextRule's fields; any other key raises MalformedJson.
+    """
     raw = parse_json(Path(path).read_bytes(), "")
     if not isinstance(raw, list):
         raise MalformedJson("rules file must hold a JSON array")
@@ -121,13 +130,9 @@ def load_context_rules(path: str | Path) -> list[ContextRule]:
     for row in raw:
         if not isinstance(row, dict):
             raise MalformedJson(f"rule must be an object, got {type(row).__name__}")
-        rules.append(
-            ContextRule(
-                rule_id=row.get("rule_id", ""),
-                predicate=row.get("predicate", ""),
-                arg=row.get("arg", ""),
-                severity=row.get("severity", "violation"),
-                window=row.get("window", DEFAULT_WINDOW),
-            )
-        )
+        for key in row:
+            if key not in _RULE_KEYS:
+                raise MalformedJson(f"unknown rule key {key!r}; keys are {', '.join(_RULE_KEYS)}")
+        # a missing required key fails ContextRule's own check on the blank
+        rules.append(ContextRule(**{"rule_id": "", "predicate": "", "arg": "", **row}))
     return rules

@@ -19,21 +19,13 @@ from .rubric import (
     SubScores,
     all_totals,
     band,
-    role_shift_rate,
-    shift_rate_percent,
+    shift_rate,
 )
 
 if TYPE_CHECKING:
     from ..dialogue.transcript import Transcript
 
 TOTAL_KEYS = ("pragmatic_consistency", "responsibility_chain", "context_stability")
-
-
-def _shift(roles: Sequence[PragmaticRole]) -> tuple[float, int] | tuple[None, None]:
-    """Role shift rate and its truncated percent; nulls below two roles."""
-    if len(roles) < 2:
-        return None, None
-    return role_shift_rate(roles), shift_rate_percent(roles)
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,7 @@ class ScoreCard:
         }
         if self.heuristic is not None:
             out["confidence"] = dict(CONFIDENCE)
-        out["shift_rate"], out["shift_rate_percent"] = _shift(self.roles)
+        out["shift_rate"], out["shift_rate_percent"] = shift_rate(self.roles) or (None, None)
         if self.heuristic is not None:
             out["heuristic"] = self.heuristic.to_dict()
         out["advisory"] = self.heuristic is not None
@@ -90,7 +82,7 @@ def render_case_table(card: ScoreCard, title: str) -> str:
         values = getattr(sub, metric)
         for i, (label, value) in enumerate(zip(SUB_TITLES[metric], values), start=1):
             lines.append(f"  {prefixes[metric]}{i} {label:<29}{value}")
-    shift_pct = _shift(card.roles)[1]
-    if shift_pct is not None:
-        lines.append(f"{'Speaker Role Shift Rate':<34}{shift_pct}%")
+    shift = shift_rate(card.roles)
+    if shift is not None:
+        lines.append(f"{'Speaker Role Shift Rate':<34}{shift[1]}%")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..errors import InvalidRequest, RangeViolation, TooFewTurns
+from ..errors import InvalidRequest, RangeViolation
 from ..dialogue.transcript import PragmaticRole
 
 SUB_MAXIMA = (2, 2, 2, 3)
@@ -104,22 +104,13 @@ def band(total: int) -> str:
     return "fragmented"
 
 
-def count_role_shifts(roles: Sequence[PragmaticRole]) -> int:
-    return sum(1 for prev, curr in zip(roles, roles[1:]) if prev != curr)
+def shift_rate(roles: Sequence[PragmaticRole]) -> tuple[float, int] | None:
+    """Share of consecutive role pairs that differ, and that share as a whole percent.
 
-
-def role_shift_rate(roles: Sequence[PragmaticRole]) -> float:
-    """Share of consecutive role pairs that differ.
-
-    Raises TooFewTurns below two roles, where no pair exists.
+    The percent is truncated, so one third renders as 33. None below two
+    roles, where no pair exists.
     """
     if len(roles) < 2:
-        raise TooFewTurns(f"shift rate needs at least 2 roles, got {len(roles)}")
-    return count_role_shifts(roles) / (len(roles) - 1)
-
-
-def shift_rate_percent(roles: Sequence[PragmaticRole]) -> int:
-    """Shift rate as a whole percent, truncated (one third renders as 33)."""
-    if len(roles) < 2:
-        raise TooFewTurns(f"shift rate needs at least 2 roles, got {len(roles)}")
-    return count_role_shifts(roles) * 100 // (len(roles) - 1)
+        return None
+    shifts = sum(1 for prev, curr in zip(roles, roles[1:]) if prev != curr)
+    return shifts / (len(roles) - 1), shifts * 100 // (len(roles) - 1)

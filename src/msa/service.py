@@ -19,6 +19,7 @@ so the threading server is safe.
 from __future__ import annotations
 
 import json
+import sys
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import takewhile
@@ -34,8 +35,7 @@ from .errors import (
     MalformedJson,
     MsaError,
 )
-from .gcode.dimensions import Dimension
-from .gcode.registry import load_registry
+from .gcode.registry import Dimension, load_registry
 from .gcode.tags import build_prompt_directives, speaker_module_from_obj
 from .jsonio import parse_json
 from .msl.cycles import cyclic_components, detect_closed_loops
@@ -201,8 +201,9 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
 
 
 def serve(host: str, port: int, llm: LlmClient) -> None:
-    """Run until interrupted."""
+    """Bind, name the bound port on stderr (port 0 picks one), and run until interrupted."""
     server = MsaHttpServer((host, port), llm)
+    print(f"listening on http://{host}:{server.server_address[1]}", file=sys.stderr, flush=True)
     try:
         server.serve_forever()
     finally:

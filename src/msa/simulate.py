@@ -1,6 +1,7 @@
 """Multi-speaker simulation driven by per-speaker tag profiles.
 
-A task file names at least two speaker profiles plus a task statement:
+A task file names at least two speaker profiles, each under a non-empty
+name, plus a task statement:
 
     {"speaker_A": {"tone": "NEUTRAL", ...},
      "speaker_B": {"tone": "HIGHASSERT", ...},
@@ -40,6 +41,8 @@ class MultiSpeakerTask:
     def __post_init__(self) -> None:
         if len(self.speakers) < 2:
             raise InvalidRequest(f"a task needs at least 2 speakers, got {len(self.speakers)}")
+        if "" in self.speakers:
+            raise InvalidRequest("speaker names must be non-empty")
         if not self.task:
             raise InvalidRequest("task statement must be non-empty")
 
@@ -64,8 +67,8 @@ def load_task(path: str | Path) -> MultiSpeakerTask:
 def simulate(
     task: MultiSpeakerTask,
     llm: LlmClient,
-    turns: int = 6,
-    seed: int = 0,
+    turns: int,
+    seed: int,
 ) -> Transcript:
     """Run ``turns`` pipeline replies over the task's speakers."""
     if turns < 1:

@@ -25,7 +25,7 @@ from msa.msl.cycles import detect_closed_loops
 from msa.msl.graph import ResponsibilityGraph, detect_partial_drift
 from msa.msl.rules import ContextRule, check_context_constraints
 from msa.scoring.heuristics import heuristic_score
-from msa.scoring.rubric import all_totals, shift_rate_percent
+from msa.scoring.rubric import all_totals, shift_rate
 from msa.scoring.stats import GroupStats, mean_confidence_interval, two_sample_t
 from msa.simulate import MultiSpeakerTask, run_simulation_to_file
 from helpers import (
@@ -61,7 +61,7 @@ def test_criterion_1_rubric_reproduction():
         fixture = load_fixture(case_id)
         want_totals, want_shift = PUBLISHED[case_id]
         totals = all_totals(fixture.subscores)
-        shift = shift_rate_percent(fixture.function_roles)
+        shift = shift_rate(fixture.function_roles)[1]
         if totals != want_totals or shift != want_shift:
             ok = False
     elapsed = time.perf_counter() - started
@@ -77,7 +77,7 @@ def test_criterion_2_shift_rate_worked_examples():
         PragmaticRole.EVADER,
         PragmaticRole.CLARIFIER,
     ]
-    ok = shift_rate_percent(declarant) == 0 and shift_rate_percent(shifting) == 75
+    ok = shift_rate(declarant)[1] == 0 and shift_rate(shifting)[1] == 75
     _verdict(2, ok, "0/(5-1)=0% and 3/(5-1)=75% exact")
 
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+import select
+import socket
 import subprocess
 import sys
+import urllib.request
 
 import pytest
 
@@ -406,7 +410,54 @@ def test_simulate_non_string_task_exits_2(tmp_path, capsys, task):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("turns,seed", [("1", "0"), ("1", "1"), ("6", "0"), ("6", "5")])
+def test_simulate_empty_speaker_name_exits_2(tmp_path, capsys, turns, seed):
+    # whichever speaker the seed puts first, nothing is generated or written
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"": {"tone": "NEUTRAL"}, "b": {}, "task": "Plan it."}))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out), "--turns", turns, "--seed", seed]) == 2
+    assert "InvalidRequest" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_accepts_tag_list_profiles(tmp_path):
     path = tmp_path / "task.json"
     path.write_text(json.dumps({"a": ["#T_NEUTRAL"], "b": {"tone": "ASSERTIVE"}, "task": "Plan it."}))
     assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_serve_announces_the_port_it_bound():
+    proc = subprocess.Popen(
+        [*RUN, "serve", "--host", "127.0.0.1", "--port", "0"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        ready, _, _ = select.select([proc.stderr], [], [], 20)
+        assert ready, "no banner within 20 s"
+        banner = proc.stderr.readline()
+        match = re.fullmatch(r"listening on http://127\.0\.0\.1:(\d+)\n", banner)
+        assert match, banner
+        port = int(match.group(1))
+        assert port != 0
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=10) as resp:
+            assert resp.status == 200
+            assert json.loads(resp.read()) == {"status": "ok"}
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
+def test_serve_on_a_port_in_use_exits_1_without_a_banner():
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        proc = subprocess.run(
+            [*RUN, "serve", "--host", "127.0.0.1", "--port", str(port)],
+            capture_output=True, text=True, timeout=30,
+        )
+    assert proc.returncode == 1
+    assert "listening" not in proc.stderr
+    assert "Address already in use" in proc.stderr

@@ -89,6 +89,9 @@ def test_rule_validation():
         ContextRule("x", predicate="keyword-presence", arg=1.5)
     with pytest.raises(MalformedJson):
         ContextRule("x", predicate="max-new-token-ratio", arg="high")
+    for arg in (float("nan"), float("inf"), float("-inf"), 10**400):
+        with pytest.raises(MalformedJson, match="finite"):
+            ContextRule("x", predicate="max-new-token-ratio", arg=arg)
     with pytest.raises(MalformedJson):
         ContextRule("x", predicate="keyword-presence", arg="x", severity="fatal")
     with pytest.raises(MalformedJson):
@@ -130,3 +133,46 @@ def test_load_context_rules_does_not_coerce(tmp_path, field, value):
     path.write_text(json.dumps([row]), encoding="utf-8")
     with pytest.raises(MalformedJson):
         load_context_rules(path)
+
+
+@pytest.mark.parametrize("arg", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_load_context_rules_refuses_a_non_finite_ratio(tmp_path, arg):
+    # read as a bound, NaN would flag every utterance after the first and Infinity none
+    path = tmp_path / "rules.json"
+    path.write_text(f'[{{"rule_id": "r", "predicate": "max-new-token-ratio", "arg": {arg}}}]')
+    with pytest.raises(MalformedJson):
+        load_context_rules(path)
+
+
+@pytest.mark.parametrize("key", ["severty", "windw", "id"])
+def test_load_context_rules_refuses_unknown_keys(tmp_path, key):
+    path = tmp_path / "rules.json"
+    row = {"rule_id": "a", "predicate": "keyword-presence", "arg": "budget", key: "warn"}
+    path.write_text(json.dumps([row]), encoding="utf-8")
+    with pytest.raises(MalformedJson, match=f"unknown rule key '{key}'"):
+        load_context_rules(path)
+
+
+@pytest.mark.parametrize(
+    "missing,message",
+    [
+        ("rule_id", "rule_id must be a non-empty string, got ''"),
+        ("predicate", "unknown predicate ''"),
+        ("arg", "keyword-presence needs a non-empty string arg"),
+    ],
+)
+def test_load_context_rules_missing_key_message(tmp_path, missing, message):
+    path = tmp_path / "rules.json"
+    row = {"rule_id": "a", "predicate": "keyword-presence", "arg": "budget"}
+    del row[missing]
+    path.write_text(json.dumps([row]), encoding="utf-8")
+    with pytest.raises(MalformedJson) as info:
+        load_context_rules(path)
+    assert str(info.value) == message
+
+
+def test_load_context_rules_takes_the_rule_defaults(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps([{"rule_id": "a", "predicate": "keyword-absence", "arg": "x"}]))
+    assert load_context_rules(path) == [ContextRule("a", predicate="keyword-absence", arg="x")]
+    assert load_context_rules(path)[0].window == DEFAULT_WINDOW

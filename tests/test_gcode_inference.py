@@ -6,9 +6,8 @@ import pytest
 
 from msa.errors import EmptyContext
 from msa.gcode import inference
-from msa.gcode.dimensions import Dimension
 from msa.gcode.inference import INFERENCE_CUES, default_inference_rules, infer_tags
-from msa.gcode.registry import VOCABULARY
+from msa.gcode.registry import VOCABULARY, Dimension
 from msa.gcode.tags import SpeakerModuleConfig, parse_tag_list
 from helpers import make_transcript
 

@@ -16,8 +16,7 @@ from msa.errors import (
     UnknownPrefix,
     UnknownValue,
 )
-from msa.gcode.dimensions import DIMENSION_ORDER, Dimension
-from msa.gcode.registry import VOCABULARY, load_registry
+from msa.gcode.registry import DIMENSION_ORDER, VOCABULARY, Dimension, load_registry
 from msa.gcode.tags import (
     GCodeTag,
     build_prompt_directives,
@@ -34,7 +33,7 @@ ALL_SURFACES = sorted(
 
 def test_registry_shape():
     assert sum(len(values) for values in VOCABULARY.values()) == 19
-    assert {d.key for d in Dimension} == {
+    assert {d.value for d in Dimension} == {
         "tone",
         "position",
         "closure",

@@ -16,12 +16,12 @@ STUB = StubLlmClient()
 
 def test_empty_context_rejected():
     with pytest.raises(EmptyContext):
-        run_pipeline(make_transcript([]), SpeakerModuleConfig(), STUB)
+        run_pipeline(make_transcript([]), SpeakerModuleConfig(), STUB, "assistant")
 
 
 def test_reply_turn_and_echo():
     ctx = make_transcript([("u", "Please plan the rollout schedule.", "user")])
-    result = run_pipeline(ctx, parse_tag_list(["#T_NEUTRAL"]), STUB)
+    result = run_pipeline(ctx, parse_tag_list(["#T_NEUTRAL"]), STUB, "assistant")
     assert result.reply.turn_role == "assistant"
     assert result.reply.index == 1
     assert result.directives == "[TONE=NEUTRAL]"
@@ -32,13 +32,13 @@ def test_reply_turn_and_echo():
 
 def test_question_flips_tone_before_compiling():
     ctx = make_transcript([("u", "What broke overnight?", "user")])
-    result = run_pipeline(ctx, parse_tag_list(["#T_HIGHASSERT", "#C_CUT"]), STUB)
+    result = run_pipeline(ctx, parse_tag_list(["#T_HIGHASSERT", "#C_CUT"]), STUB, "assistant")
     assert result.directives == "[TONE=NEUTRAL] [CLOSURE=CUT]"
 
 
 def test_function_role_assigned_from_last_turn():
     ctx = make_transcript([("u", "I will take the incident review.", "user")])
-    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
+    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB, "assistant")
     assert result.reply.function_role == PragmaticRole.RESPONSIBILITY_ACCEPTOR
 
 
@@ -49,7 +49,7 @@ def test_no_drift_on_coherent_turns():
             ("a", "Stage three of the deploy pipeline needs a manual gate.", "assistant"),
         ]
     )
-    result = run_pipeline(ctx, parse_tag_list(["#T_NEUTRAL"]), STUB)
+    result = run_pipeline(ctx, parse_tag_list(["#T_NEUTRAL"]), STUB, "user")
     assert result.drift is not None
     assert not result.drift.drifted
     assert "(please confirm first:" not in result.directives
@@ -62,7 +62,7 @@ def test_drift_appends_realignment_to_directives():
             ("a", "Lunch options nearby include ramen.", "assistant"),
         ]
     )
-    result = run_pipeline(ctx, parse_tag_list(["#T_NEUTRAL"]), STUB)
+    result = run_pipeline(ctx, parse_tag_list(["#T_NEUTRAL"]), STUB, "user")
     assert result.drift.drifted
     assert result.directives == (
         "[TONE=NEUTRAL] (please confirm first: 'Lunch options nearby include ramen.')"
@@ -72,7 +72,7 @@ def test_drift_appends_realignment_to_directives():
 
 def test_single_turn_context_skips_drift():
     ctx = make_transcript([("u", "Only one turn here.", "user")])
-    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
+    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB, "assistant")
     assert result.drift is None
 
 
@@ -84,7 +84,7 @@ def test_commitments_folded_including_reply():
             ("u", "The timeline still needs owners.", "user"),
         ]
     )
-    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
+    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB, "assistant")
     assert len(result.chain.commitments) == 1
     assert result.chain.last_index == 3  # reply was folded too
 
@@ -97,7 +97,7 @@ def test_scores_cover_extended_transcript():
             ("u", "The summary will need sign off before Friday.", "user"),
         ]
     )
-    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
+    result = run_pipeline(ctx, SpeakerModuleConfig(), STUB, "assistant")
     # three commitment-bearing turns, alternating speakers, no short turns
     assert result.scores.role_continuity == 9
     assert result.scores.responsibility_trace == 9
@@ -106,8 +106,8 @@ def test_scores_cover_extended_transcript():
 
 def test_pipeline_is_deterministic():
     ctx = make_transcript([("u", "Summarize the sprint review?", "user")])
-    a = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
-    b = run_pipeline(ctx, SpeakerModuleConfig(), STUB)
+    a = run_pipeline(ctx, SpeakerModuleConfig(), STUB, "assistant")
+    b = run_pipeline(ctx, SpeakerModuleConfig(), STUB, "assistant")
     assert a == b
 
 

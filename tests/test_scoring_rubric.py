@@ -7,15 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from msa.dialogue.transcript import PragmaticRole
-from msa.errors import RangeViolation, TooFewTurns
+from msa.errors import RangeViolation
 from msa.scoring.rubric import (
     SUB_MAXIMA,
     SubScores,
     all_totals,
     band,
-    count_role_shifts,
-    role_shift_rate,
-    shift_rate_percent,
+    shift_rate,
 )
 
 IP = PragmaticRole.INFORMATION_PROVIDER
@@ -72,35 +70,37 @@ def test_band_labels():
 
 
 def test_count_role_shifts():
-    assert count_role_shifts([IP, IP, IP]) == 0
-    assert count_role_shifts([IP, CL, IP]) == 2
-    assert count_role_shifts([IP, CL, CL, CH]) == 2
+    def shifts(roles):
+        return round(shift_rate(roles)[0] * (len(roles) - 1))
+
+    assert shifts([IP, IP, IP]) == 0
+    assert shifts([IP, CL, IP]) == 2
+    assert shifts([IP, CL, CL, CH]) == 2
 
 
 def test_shift_rate_denominator_is_turns_minus_one():
-    assert role_shift_rate([IP] * 5) == 0.0
-    assert role_shift_rate([IP, CH, EV, EV, CL]) == pytest.approx(3 / 4)
+    assert shift_rate([IP] * 5)[0] == 0.0
+    assert shift_rate([IP, CH, EV, EV, CL])[0] == pytest.approx(3 / 4)
 
 
 def test_shift_rate_needs_two_turns():
-    with pytest.raises(TooFewTurns):
-        role_shift_rate([IP])
-    with pytest.raises(TooFewTurns):
-        shift_rate_percent([])
+    assert shift_rate([IP]) is None
+    assert shift_rate([]) is None
 
 
 def test_percent_truncates_toward_zero():
-    assert shift_rate_percent([IP, CL, IP, IP]) == 66   # 2/3
-    assert shift_rate_percent([CL, CL, CH, CH]) == 33   # 1/3
-    assert shift_rate_percent([IP, CL]) == 100
-    assert shift_rate_percent([IP, IP]) == 0
+    assert shift_rate([IP, CL, IP, IP])[1] == 66   # 2/3
+    assert shift_rate([CL, CL, CH, CH])[1] == 33   # 1/3
+    assert shift_rate([IP, CL])[1] == 100
+    assert shift_rate([IP, IP])[1] == 0
 
 
 @given(st.lists(st.sampled_from([IP, CL, CH, EV]), min_size=2, max_size=30))
 def test_percent_matches_float_rate(roles):
-    assert shift_rate_percent(roles) == int(role_shift_rate(roles) * 100)
+    rate, percent = shift_rate(roles)
+    assert percent == int(rate * 100)
 
 
 @given(st.lists(st.sampled_from([IP, CL]), min_size=2, max_size=30))
 def test_rate_bounds(roles):
-    assert 0.0 <= role_shift_rate(roles) <= 1.0
+    assert 0.0 <= shift_rate(roles)[0] <= 1.0

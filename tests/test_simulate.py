@@ -53,6 +53,8 @@ def test_task_requires_two_speakers_and_task():
         MultiSpeakerTask.from_obj({"a": {}, "b": {}, "task": ""})
     with pytest.raises(InvalidRequest):
         MultiSpeakerTask.from_obj({"a": {}, "b": {}})
+    with pytest.raises(InvalidRequest, match="speaker names must be non-empty"):
+        MultiSpeakerTask.from_obj({"": {"tone": "NEUTRAL"}, "b": {}, "task": "x"})
 
 
 def test_task_rejects_bad_profile():
@@ -109,7 +111,7 @@ def test_same_seed_same_transcript():
 def test_turn_budget_validated():
     task = MultiSpeakerTask.from_obj(TASK_OBJ)
     with pytest.raises(InvalidRequest):
-        simulate(task, STUB, turns=0)
+        simulate(task, STUB, turns=0, seed=0)
 
 
 def test_three_runs_byte_identical(tmp_path):
@@ -193,7 +195,7 @@ class _Scripted:
 def test_tokenless_reply_skips_the_next_drift_check(monkeypatch):
     results = _record_pipeline_results(monkeypatch)
     replies = ["I will draft the exam plan.", "...", "The exam plan is drafted."]
-    transcript = simulate(MultiSpeakerTask.from_obj(TASK_OBJ), _Scripted(replies), turns=3)
+    transcript = simulate(MultiSpeakerTask.from_obj(TASK_OBJ), _Scripted(replies), turns=3, seed=0)
     assert [t.text for t in transcript.turns[1:]] == replies
     assert results[1].drift is not None
     assert results[2].drift is None  # its context ends with "...", which has no tokens
@@ -202,7 +204,7 @@ def test_tokenless_reply_skips_the_next_drift_check(monkeypatch):
 def test_empty_reply_is_the_clients_fault():
     replies = ["I will draft the exam plan.", ""]
     with pytest.raises(LlmUnavailable, match="empty reply for turn 2"):
-        simulate(MultiSpeakerTask.from_obj(TASK_OBJ), _Scripted(replies), turns=3)
+        simulate(MultiSpeakerTask.from_obj(TASK_OBJ), _Scripted(replies), turns=3, seed=0)
 
 
 class _Committing:
@@ -214,6 +216,7 @@ class _Committing:
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="every reply replays the whole context and copies the commitments; "
     "ROADMAP item 3, the DialogueSession, makes the per-reply cost flat",
 )
@@ -222,13 +225,14 @@ def test_per_reply_cost_is_flat_as_the_transcript_grows():
     # position; replaying the context makes it grow with the turn count, and
     # commitment-bearing replies expose the cubic term. It reads about 4x to 8x.
     task = MultiSpeakerTask.from_obj(TASK_OBJ)
-    short = best_seconds(lambda: simulate(task, _Committing(), turns=50)) / 50
-    long = best_seconds(lambda: simulate(task, _Committing(), turns=200), repeats=3) / 200
+    short = best_seconds(lambda: simulate(task, _Committing(), turns=50, seed=0)) / 50
+    long = best_seconds(lambda: simulate(task, _Committing(), turns=200, seed=0), repeats=3) / 200
     assert long / short < 2.5, f"{long / short:.1f}x per reply at 200 turns vs 50"
 
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="every reply replays the whole context, so it folds every earlier turn again; "
     "ROADMAP item 3, the DialogueSession, folds each turn once",
 )
@@ -249,6 +253,6 @@ def test_chain_folds_per_reply_are_flat_as_the_transcript_grows(monkeypatch):
     per_reply = {}
     for turns in (50, 200):
         folds = 0
-        simulate(task, _Committing(), turns=turns)
+        simulate(task, _Committing(), turns=turns, seed=0)
         per_reply[turns] = folds / turns
     assert per_reply[200] <= per_reply[50], f"chain folds per reply: {per_reply}"

@@ -74,6 +74,39 @@ def test_every_public_name_has_a_caller_or_documentation():
     assert unused_public_names() == []
 
 
+# The count of settable values: parameter defaults of functions and methods
+# other than dunder methods, plus class-level annotated fields with a default.
+# A change that adds one raises this ceiling in its own diff and says why.
+SETTABLE_CEILING = 34
+
+
+def settable_values() -> list[str]:
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found += [f"{where}: {node.name}({a.arg}=...)" for a in defaulted]
+            elif isinstance(node, ast.ClassDef):
+                found += [
+                    f"{where}: {node.name}.{ast.unparse(member.target)}"
+                    for member in node.body
+                    if isinstance(member, ast.AnnAssign) and member.value is not None
+                ]
+    return found
+
+
+def test_settable_values_stay_within_the_ceiling():
+    found = settable_values()
+    assert len(found) <= SETTABLE_CEILING, "\n".join(found)
+
+
 def test_json_is_decoded_only_in_jsonio():
     """Every decode goes through msa.jsonio.parse_json, which maps each failure to MalformedJson."""
     decoders = []
