@@ -27,8 +27,8 @@ from .fixtures import FIXTURE_CASES, load_fixture
 from .gcode.tags import (
     SpeakerModuleConfig,
     build_prompt_directives,
-    parse_config_document,
     parse_tag_list,
+    speaker_module_from_obj,
 )
 from .jsonio import parse_json
 from .msl.graph import ResponsibilityGraph, transitive_closure
@@ -92,7 +92,7 @@ def _port(raw: str) -> int:
 def _speaker_module_from_text(text: str) -> SpeakerModuleConfig:
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
-        return parse_config_document(stripped)
+        return speaker_module_from_obj(parse_json(stripped, ""))
     return parse_tag_list(stripped.split())
 
 

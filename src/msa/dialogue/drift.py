@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import EmptyUtterance
 from ..text import tokenize
 
 DEFAULT_DRIFT_THRESHOLD = 0.2
@@ -41,16 +40,17 @@ def generate_realignment(last_user_text: str) -> str:
     return f"(please confirm first: '{excerpt}')"
 
 
-def detect_drift(prev_text: str, curr_text: str, *, turn_index: int) -> DriftReport:
+def detect_drift(prev_text: str, curr_text: str, *, turn_index: int) -> DriftReport | None:
     """Compare the current utterance against the previous one.
 
     Both texts are lowercased and stripped of ASCII punctuation before
-    splitting. Raises EmptyUtterance when the current utterance has no tokens.
+    splitting. A current utterance with no tokens (say ``...``) has nothing
+    to compare, so it gets no report: the result is None.
     """
     prev_tokens = tokenize(prev_text)
     curr_tokens = tokenize(curr_text)
     if not curr_tokens:
-        raise EmptyUtterance(f"no tokens in current utterance {curr_text!r}")
+        return None
     overlap = len(set(prev_tokens) & set(curr_tokens))
     ratio = overlap / len(curr_tokens)
     drifted = ratio < DEFAULT_DRIFT_THRESHOLD

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import EmptyContext, EmptyUtterance, LlmUnavailable
+from ..errors import EmptyContext, LlmUnavailable
 from ..gcode.inference import infer_tags
 from ..gcode.tags import SpeakerModuleConfig, build_prompt_directives
 from ..scoring.heuristics import HeuristicScores, heuristic_score
@@ -64,17 +64,10 @@ def run_pipeline(
 
     drift = None
     if len(context.turns) >= 2:
-        try:
-            drift = detect_drift(
-                context.turns[-2].text,
-                context.turns[-1].text,
-                turn_index=context.turns[-1].index,
-            )
-        except EmptyUtterance:
-            pass  # a last turn with no tokens (say "...") has nothing to compare
-        else:
-            if drift.drifted and drift.realignment:
-                directives = f"{directives} {drift.realignment}" if directives else drift.realignment
+        prev, last = context.turns[-2:]
+        drift = detect_drift(prev.text, last.text, turn_index=last.index)
+    if drift is not None and drift.realignment:  # set exactly when the turn drifted
+        directives = f"{directives} {drift.realignment}" if directives else drift.realignment
 
     reply_text = llm.generate(directives, context)
     if not reply_text:

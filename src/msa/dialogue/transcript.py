@@ -9,7 +9,7 @@ for discourse reasons. They are never conflated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -40,6 +40,16 @@ class DialogueTurn:
     index: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.speaker, str):
+            raise InvalidRequest(f"turn speaker must be a string, got {self.speaker!r}")
+        if not isinstance(self.text, str):
+            raise InvalidRequest(f"turn text must be a string, got {self.text!r}")
+        if not isinstance(self.turn_role, str):
+            raise InvalidRequest(f"turn turn_role must be a string, got {self.turn_role!r}")
+        if type(self.index) is not int:  # bool is an int subclass, and not an index
+            raise InvalidRequest(f"turn index must be an integer, got {self.index!r}")
+        if self.function_role is not None and type(self.function_role) is not PragmaticRole:
+            raise InvalidRequest(f"unknown function_role {self.function_role!r}")
         if not self.speaker:
             raise InvalidRequest("turn speaker must be non-empty")
         if not self.text:
@@ -62,6 +72,7 @@ class DialogueTurn:
 
     @classmethod
     def from_dict(cls, obj: Mapping[str, object]) -> "DialogueTurn":
+        """The turn a transcript row describes; a key that is not a field is refused."""
         if not isinstance(obj, Mapping):
             raise InvalidRequest(f"turn must be an object, got {type(obj).__name__}")
         role_raw = obj.get("function_role")
@@ -71,22 +82,21 @@ class DialogueTurn:
                 function_role = PragmaticRole(str(role_raw))
             except ValueError:
                 raise InvalidRequest(f"unknown function_role {role_raw!r}") from None
-        speaker = obj.get("speaker", "")
-        text = obj.get("text", "")
-        turn_role = obj.get("turn_role", "")
-        for key, value in (("speaker", speaker), ("text", text), ("turn_role", turn_role)):
-            if not isinstance(value, str):
-                raise InvalidRequest(f"turn {key} must be a string, got {value!r}")
-        index = obj.get("index", 0)
-        if type(index) is not int:  # bool is an int subclass, and not an index
-            raise InvalidRequest(f"turn index must be an integer, got {index!r}")
-        return cls(
-            speaker=speaker,
-            text=text,
-            turn_role=turn_role,
+        turn = cls(
+            speaker=obj.get("speaker", ""),
+            text=obj.get("text", ""),
+            turn_role=obj.get("turn_role", ""),
             function_role=function_role,
-            index=index,
+            index=obj.get("index", 0),
         )
+        if not obj.keys() <= _TURN_KEYS:
+            key = next(key for key in obj if key not in _TURN_KEYS)
+            raise InvalidRequest(f"unknown turn key {key!r}; keys are {', '.join(_TURN_KEYS)}")
+        return turn
+
+
+# a dict's keys view: a set for the check, in field order for the message
+_TURN_KEYS = dict.fromkeys(field.name for field in fields(DialogueTurn)).keys()
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,6 @@ class EmptyContext(MsaError):
     pass
 
 
-class EmptyUtterance(MsaError):
-    pass
-
-
 class InvalidTransition(MsaError):
     pass
 

@@ -2,8 +2,9 @@
 
 Surface form is ``#<PREFIX>_<VALUE>`` with prefixes T, P, C, CTX, L, and E.
 Input is case-insensitive everywhere; canonical output is uppercase. A
-speaker-module configuration also round-trips through two JSON forms: a list
-of tag surfaces and a keyed object such as ``{"tone": "SOFTASSERT", ...}``.
+speaker-module configuration is read from two JSON forms, a list of tag
+surfaces and a keyed object such as ``{"tone": "SOFTASSERT", ...}``, either one
+optionally inside a ``{"speaker_module": ...}`` wrapper document.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ..errors import (
     UnknownPrefix,
     UnknownValue,
 )
-from ..jsonio import parse_json
 from .registry import DIMENSION_BY_KEY, DIMENSION_BY_PREFIX, DIMENSION_ORDER, VOCABULARY, Dimension
 
 
@@ -49,7 +49,9 @@ class SpeakerModuleConfig:
         seen: set[Dimension] = set()
         for tag in self.tags:
             if tag.dimension in seen:
-                raise DuplicateDimension(f"dimension {tag.dimension.name} set twice")
+                raise DuplicateDimension(
+                    f"{tag.surface!r}: dimension {tag.dimension.name} already set"
+                )
             seen.add(tag.dimension)
         ordered = tuple(sorted(self.tags, key=lambda t: DIMENSION_ORDER.index(t.dimension)))
         object.__setattr__(self, "tags", ordered)
@@ -59,12 +61,9 @@ class SpeakerModuleConfig:
         kept = tuple(t for t in self.tags if t.dimension is not tag.dimension)
         return SpeakerModuleConfig(tags=kept + (tag,))
 
-    def to_keyed_object(self) -> dict[str, str]:
-        return {tag.dimension.value: tag.value for tag in self.tags}
-
     def to_document(self) -> dict[str, dict[str, str]]:
-        """The single-speaker configuration document shape."""
-        return {"speaker_module": self.to_keyed_object()}
+        """The wrapper document around the keyed-object form."""
+        return {"speaker_module": {tag.dimension.value: tag.value for tag in self.tags}}
 
 
 def parse_tag(surface: str, registry: Mapping[Dimension, Sequence[str]] | None = None) -> GCodeTag:
@@ -102,26 +101,31 @@ def parse_tag_list(
 ) -> SpeakerModuleConfig:
     """Parse a sequence of tag surfaces into a config.
 
-    Raises DuplicateDimension when two tags target the same dimension.
+    Each tag joins the config as soon as it is parsed, so a second tag on one
+    dimension raises DuplicateDimension before any later surface is read.
     """
-    reg = registry or VOCABULARY
-    tags: list[GCodeTag] = []
-    seen: set[Dimension] = set()
+    config = SpeakerModuleConfig()
     for surface in surfaces:
-        tag = parse_tag(surface, reg)
-        if tag.dimension in seen:
-            raise DuplicateDimension(
-                f"{surface!r}: dimension {tag.dimension.name} already set"
-            )
-        seen.add(tag.dimension)
-        tags.append(tag)
-    return SpeakerModuleConfig(tags=tuple(tags))
+        config = SpeakerModuleConfig(tags=config.tags + (parse_tag(surface, registry),))
+    return config
 
 
-def config_from_keyed_object(
-    obj: Mapping[str, object], registry: Mapping[Dimension, Sequence[str]] | None = None
+def speaker_module_from_obj(
+    obj: object, registry: Mapping[Dimension, Sequence[str]] | None = None
 ) -> SpeakerModuleConfig:
-    """Build a config from an already-parsed keyed object."""
+    """Read a speaker module in any JSON form.
+
+    Lists are tag-surface lists and objects are keyed objects. A one-key
+    ``{"speaker_module": ...}`` wrapper document is unwrapped first.
+    """
+    if isinstance(obj, dict) and set(obj) == {"speaker_module"}:
+        obj = obj["speaker_module"]
+    if isinstance(obj, list):
+        return parse_tag_list(obj, registry)
+    if not isinstance(obj, dict):
+        raise MalformedJson(
+            f"speaker module must be a tag list or keyed object, got {type(obj).__name__}"
+        )
     reg = registry or VOCABULARY
     tags: list[GCodeTag] = []
     for key, raw_value in obj.items():
@@ -135,32 +139,6 @@ def config_from_keyed_object(
             raise UnknownValue(f"{key}: {raw_value!r} is not registered for {dimension.name}")
         tags.append(GCodeTag(dimension=dimension, value=value))
     return SpeakerModuleConfig(tags=tuple(tags))
-
-
-def speaker_module_from_obj(
-    obj: object, registry: Mapping[Dimension, Sequence[str]] | None = None
-) -> SpeakerModuleConfig:
-    """Accept either wire form of a speaker module.
-
-    Lists are treated as tag-surface lists, objects as keyed objects. A
-    one-key ``{"speaker_module": ...}`` wrapper document is unwrapped first.
-    """
-    if isinstance(obj, dict) and set(obj) == {"speaker_module"}:
-        obj = obj["speaker_module"]
-    if isinstance(obj, list):
-        return parse_tag_list(obj, registry)
-    if isinstance(obj, dict):
-        return config_from_keyed_object(obj, registry)
-    raise MalformedJson(
-        f"speaker module must be a tag list or keyed object, got {type(obj).__name__}"
-    )
-
-
-def parse_config_document(
-    json_text: str, registry: Mapping[Dimension, Sequence[str]] | None = None
-) -> SpeakerModuleConfig:
-    """Parse any accepted JSON document form of a speaker module."""
-    return speaker_module_from_obj(parse_json(json_text, ""), registry)
 
 
 def build_prompt_directives(config: SpeakerModuleConfig) -> str:

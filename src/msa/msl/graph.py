@@ -8,7 +8,7 @@ and preserved. Graphs are immutable values, built whole in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import KeysView, Mapping
 
 from ..errors import MalformedJson, UnknownSpeaker
 
@@ -21,6 +21,17 @@ def _check_speaker(speaker: object) -> str:
     return speaker
 
 
+# dict keys views: sets for the check, in document order for the message
+_EDGE_KEYS = dict.fromkeys(("from", "to", "utterance_index", "label")).keys()
+_GRAPH_KEYS = dict.fromkeys(("nodes", "edges")).keys()
+
+
+def _refuse_unknown_keys(obj: Mapping[str, object], keys: KeysView[str], what: str) -> None:
+    if not obj.keys() <= keys:
+        key = next(key for key in obj if key not in keys)
+        raise MalformedJson(f"unknown {what} key {key!r}; keys are {', '.join(keys)}")
+
+
 @dataclass(frozen=True)
 class ResponsibilityEdge:
     """One directed transfer event. ``source`` took an obligation to ``target``."""
@@ -31,6 +42,11 @@ class ResponsibilityEdge:
     label: str | None = None
 
     def __post_init__(self) -> None:
+        index = self.utterance_index
+        if index is not None and type(index) is not int:  # bool is an int subclass
+            raise MalformedJson(f"utterance_index must be an integer, got {index!r}")
+        if self.label is not None and not isinstance(self.label, str):
+            raise MalformedJson(f"label must be a string, got {self.label!r}")
         _check_speaker(self.source)
         _check_speaker(self.target)
 
@@ -40,12 +56,7 @@ class ResponsibilityEdge:
             raise MalformedJson(f"edge must be an object, got {type(obj).__name__}")
         if "from" not in obj or "to" not in obj:
             raise MalformedJson(f"edge object needs 'from' and 'to': {obj!r}")
-        index = obj.get("utterance_index")
-        if index is not None and type(index) is not int:  # bool is an int subclass
-            raise MalformedJson(f"utterance_index must be an integer, got {index!r}")
-        label = obj.get("label")
-        if label is not None and not isinstance(label, str):
-            raise MalformedJson(f"label must be a string, got {label!r}")
+        index, label = obj.get("utterance_index"), obj.get("label")
         return cls(source=obj["from"], target=obj["to"], utterance_index=index, label=label)
 
 
@@ -77,6 +88,10 @@ class ResponsibilityGraph:
                 if endpoint not in nodes:
                     raise UnknownSpeaker(f"edge endpoint {endpoint!r} missing from nodes")
             edges.append(edge)
+        # unknown keys last, so a graph refused for another fault keeps that fault's code
+        for raw in raw_edges:
+            _refuse_unknown_keys(raw, _EDGE_KEYS, "edge")
+        _refuse_unknown_keys(obj, _GRAPH_KEYS, "graph")
         return cls(nodes=nodes, edges=tuple(edges))
 
 

@@ -1,7 +1,8 @@
 """Multi-speaker simulation driven by per-speaker tag profiles.
 
 A task file names at least two speaker profiles, each under a non-empty
-name, plus a task statement:
+name other than ``moderator`` (the task turn's speaker), plus a task
+statement:
 
     {"speaker_A": {"tone": "NEUTRAL", ...},
      "speaker_B": {"tone": "HIGHASSERT", ...},
@@ -45,6 +46,8 @@ class MultiSpeakerTask:
             raise InvalidRequest("speaker names must be non-empty")
         if not self.task:
             raise InvalidRequest("task statement must be non-empty")
+        if TASK_TURN_SPEAKER in self.speakers:
+            raise InvalidRequest(f"speaker name {TASK_TURN_SPEAKER!r} is taken by the task turn")
 
     @classmethod
     def from_obj(cls, obj: Mapping[str, object]) -> "MultiSpeakerTask":

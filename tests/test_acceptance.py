@@ -20,7 +20,7 @@ from msa.dialogue.llm import StubLlmClient
 from msa.dialogue.transcript import PragmaticRole
 from msa.fixtures import FIXTURE_CASES, load_fixture
 from msa.gcode.registry import VOCABULARY
-from msa.gcode.tags import GCodeTag, parse_config_document, parse_tag
+from msa.gcode.tags import GCodeTag, parse_tag, speaker_module_from_obj
 from msa.msl.cycles import detect_closed_loops
 from msa.msl.graph import ResponsibilityGraph, detect_partial_drift
 from msa.msl.rules import ContextRule, check_context_constraints
@@ -268,31 +268,25 @@ def test_criterion_8_dsl_round_trip_and_service():
     round_trip_ok = all(parse_tag(parse_tag(s).surface).surface == s for s in surfaces)
     count_ok = len(surfaces) >= 17  # every registered tag; registry carries 19
 
-    import json
-
-    listed = parse_config_document(
-        json.dumps(
-            {
-                "speaker_module": [
-                    "#T_SOFTASSERT", "#P_SELFREF", "#C_LOOP",
-                    "#CTX_MERGE", "#L_CASCADE", "#E_TIGHT",
-                ]
-            }
-        )
+    listed = speaker_module_from_obj(
+        {
+            "speaker_module": [
+                "#T_SOFTASSERT", "#P_SELFREF", "#C_LOOP",
+                "#CTX_MERGE", "#L_CASCADE", "#E_TIGHT",
+            ]
+        }
     )
-    keyed = parse_config_document(
-        json.dumps(
-            {
-                "speaker_module": {
-                    "tone": "SOFTASSERT",
-                    "position": "SELFREF",
-                    "closure": "LOOP",
-                    "context_alignment": "MERGE",
-                    "logical_flow": "CASCADE",
-                    "affective_tension": "TIGHT",
-                }
+    keyed = speaker_module_from_obj(
+        {
+            "speaker_module": {
+                "tone": "SOFTASSERT",
+                "position": "SELFREF",
+                "closure": "LOOP",
+                "context_alignment": "MERGE",
+                "logical_flow": "CASCADE",
+                "affective_tension": "TIGHT",
             }
-        )
+        }
     )
     forms_ok = listed == keyed
 

@@ -268,6 +268,14 @@ def test_bad_invocations_exit_2(args):
     assert proc.returncode == 2
 
 
+def test_graph_with_a_misspelt_key_exits_2(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"nodes": ["a"], "edgez": [{"from": "a", "to": "a"}]}))
+    proc = run_cli("graph", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "MalformedJson" in proc.stderr and "'edgez'" in proc.stderr
+
+
 @pytest.mark.parametrize("edges", [[1], [["a", "b"]], [None]], ids=["number", "array", "null"])
 def test_graph_with_non_object_edge_exits_2(tmp_path, edges):
     path = tmp_path / "g.json"
@@ -418,6 +426,16 @@ def test_simulate_empty_speaker_name_exits_2(tmp_path, capsys, turns, seed):
     out = tmp_path / "out"
     assert main(["simulate", str(path), "--out-dir", str(out), "--turns", turns, "--seed", seed]) == 2
     assert "InvalidRequest" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_speaker_named_like_the_task_turn_exits_2(tmp_path, capsys):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"moderator": {"tone": "NEUTRAL"}, "b": {}, "task": "Plan it."}))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[InvalidRequest]" in err and "'moderator' is taken by the task turn" in err
     assert not out.exists()
 
 

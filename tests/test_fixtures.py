@@ -10,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from msa.dialogue.transcript import dump_transcript_jsonl, load_transcript_jsonl
-from msa.errors import CorruptFixture, MalformedJson
+from msa.dialogue.transcript import (
+    DialogueTurn,
+    Transcript,
+    dump_transcript_jsonl,
+    load_transcript_jsonl,
+)
+from msa.errors import CorruptFixture, InvalidRequest, MalformedJson
 from msa.fixtures import FIXTURE_CASES, load_fixture
 from helpers import make_transcript
 
@@ -128,6 +133,29 @@ def test_bare_carriage_return_is_json_whitespace(tmp_path):
     sums["case2.jsonl"] = hashlib.sha256(data).hexdigest()
     sums_path.write_text(json.dumps(sums), encoding="utf-8")
     assert load_fixture("case2", base_dir=work).transcript == expected
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("speaker", 5), ("text", b"x"), ("turn_role", None), ("index", True), ("index", "1"),
+     ("function_role", "clarifier")],
+)
+def test_turn_built_in_code_meets_the_json_checks(field, value):
+    fields = {"speaker": "a", "text": "x", "turn_role": "user", "index": 0, field: value}
+    with pytest.raises(InvalidRequest) as raised:
+        DialogueTurn(**fields)
+    assert field in str(raised.value)
+
+
+def test_turn_with_an_unknown_key_is_refused():
+    row = {"speaker": "a", "text": "hi", "turn_role": "user", "indx": 1}
+    with pytest.raises(InvalidRequest) as raised:
+        Transcript.from_dicts([row])
+    assert str(raised.value) == (
+        "unknown turn key 'indx'; keys are speaker, text, turn_role, function_role, index"
+    )
+    with pytest.raises(InvalidRequest, match="must be a string"):  # the other fault comes first
+        Transcript.from_dicts([dict(row, speaker=5)])
 
 
 def test_malformed_line_names_path_and_line(tmp_path):

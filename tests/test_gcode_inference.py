@@ -15,7 +15,7 @@ from helpers import make_transcript
 def test_default_rule_marks_questions_neutral():
     context = make_transcript([("u", "Could you check the logs?", "user")])
     out = infer_tags(context, SpeakerModuleConfig())
-    assert out.to_keyed_object()["tone"] == "NEUTRAL"
+    assert out.to_document()["speaker_module"]["tone"] == "NEUTRAL"
 
 
 def test_no_match_keeps_previous_tags():
@@ -29,8 +29,8 @@ def test_match_overrides_only_named_dimension():
     prev = parse_tag_list(["#T_HIGHASSERT", "#C_CUT"])
     context = make_transcript([("u", "Are the logs clean?", "user")])
     out = infer_tags(context, prev)
-    assert out.to_keyed_object()["tone"] == "NEUTRAL"
-    assert out.to_keyed_object()["closure"] == "CUT"
+    assert out.to_document()["speaker_module"]["tone"] == "NEUTRAL"
+    assert out.to_document()["speaker_module"]["closure"] == "CUT"
 
 
 def test_only_final_turn_is_inspected():
@@ -38,7 +38,7 @@ def test_only_final_turn_is_inspected():
         [("u", "Why though?", "user"), ("a", "Because of the retry loop.", "assistant")]
     )
     out = infer_tags(context, parse_tag_list(["#T_ASSERTIVE"]))
-    assert out.to_keyed_object()["tone"] == "ASSERTIVE"
+    assert out.to_document()["speaker_module"]["tone"] == "ASSERTIVE"
 
 
 def test_empty_context_raises():
@@ -54,7 +54,7 @@ def test_later_rules_win(monkeypatch):
     )
     context = make_transcript([("u", "You deleted it?!", "user")])
     out = infer_tags(context, SpeakerModuleConfig())
-    assert out.to_keyed_object()["tone"] == "HIGHASSERT"
+    assert out.to_document()["speaker_module"]["tone"] == "HIGHASSERT"
 
 
 def test_bundled_default_matches_constructed():

@@ -20,11 +20,11 @@ from msa.gcode.registry import DIMENSION_ORDER, VOCABULARY, Dimension, load_regi
 from msa.gcode.tags import (
     GCodeTag,
     build_prompt_directives,
-    config_from_keyed_object,
-    parse_config_document,
     parse_tag,
     parse_tag_list,
+    speaker_module_from_obj,
 )
+from msa.jsonio import parse_json
 
 ALL_SURFACES = sorted(
     GCodeTag(dim, value).surface for dim, values in VOCABULARY.items() for value in values
@@ -106,63 +106,76 @@ def test_parse_tag_list_rejects_duplicate_dimension():
         parse_tag_list(["#T_NEUTRAL", "#T_ASSERTIVE"])
 
 
+def test_duplicate_dimension_stops_before_a_later_surface_is_read():
+    with pytest.raises(DuplicateDimension):
+        parse_tag_list(["#T_NEUTRAL", "#T_ASSERTIVE", "#Q_NOPE"])
+
+
+@pytest.mark.parametrize(
+    "module",
+    [["#t_neutral", "#T_ASSERTIVE"], ["#T_NEUTRAL", " #t_assertive "],
+     {"tone": "neutral", "TONE": "assertive"}],
+    ids=["list", "list-lowercase-later", "keyed"],
+)
+def test_duplicate_dimension_names_the_later_canonical_surface(module):
+    with pytest.raises(DuplicateDimension) as raised:
+        speaker_module_from_obj(module)
+    assert str(raised.value) == "'#T_ASSERTIVE': dimension TONE already set"
+
+
 def test_keyed_object_form():
-    config = config_from_keyed_object(
+    config = speaker_module_from_obj(
         {"tone": "SOFTASSERT", "closure": "loop", "POSITION": "selfref"}
     )
-    assert config.to_keyed_object() == {
-        "tone": "SOFTASSERT", "closure": "LOOP", "position": "SELFREF"
+    assert config.to_document() == {
+        "speaker_module": {"tone": "SOFTASSERT", "position": "SELFREF", "closure": "LOOP"}
     }
 
 
 def test_keyed_object_rejects_unknown_key_and_value():
     with pytest.raises(UnknownKey):
-        config_from_keyed_object({"mood": "NEUTRAL"})
+        speaker_module_from_obj({"mood": "NEUTRAL"})
     with pytest.raises(UnknownValue):
-        config_from_keyed_object({"tone": "SMUG"})
+        speaker_module_from_obj({"tone": "SMUG"})
     with pytest.raises(UnknownValue):
-        config_from_keyed_object({"tone": 3})
+        speaker_module_from_obj({"tone": 3})
 
 
 def test_document_forms_agree():
-    listed = parse_config_document(
-        json.dumps(
-            {
-                "speaker_module": [
-                    "#T_SOFTASSERT",
-                    "#P_SELFREF",
-                    "#C_LOOP",
-                    "#CTX_MERGE",
-                    "#L_CASCADE",
-                    "#E_TIGHT",
-                ]
-            }
-        )
+    listed = speaker_module_from_obj(
+        {
+            "speaker_module": [
+                "#T_SOFTASSERT",
+                "#P_SELFREF",
+                "#C_LOOP",
+                "#CTX_MERGE",
+                "#L_CASCADE",
+                "#E_TIGHT",
+            ]
+        }
     )
-    keyed = parse_config_document(
-        json.dumps(
-            {
-                "speaker_module": {
-                    "tone": "SOFTASSERT",
-                    "position": "SELFREF",
-                    "closure": "LOOP",
-                    "context_alignment": "MERGE",
-                    "logical_flow": "CASCADE",
-                    "affective_tension": "TIGHT",
-                }
+    keyed = speaker_module_from_obj(
+        {
+            "speaker_module": {
+                "tone": "SOFTASSERT",
+                "position": "SELFREF",
+                "closure": "LOOP",
+                "context_alignment": "MERGE",
+                "logical_flow": "CASCADE",
+                "affective_tension": "TIGHT",
             }
-        )
+        }
     )
     assert listed == keyed
 
 
 def test_document_rejects_garbage():
     with pytest.raises(MalformedJson):
-        parse_config_document("not json")
+        speaker_module_from_obj(parse_json("not json", ""))
     with pytest.raises(MalformedJson):
-        parse_config_document('"just a string"')
+        speaker_module_from_obj(parse_json('"just a string"', ""))
     with pytest.raises(MalformedJson):
-        parse_config_document('{"speaker_module": 12}')
+        speaker_module_from_obj(parse_json('{"speaker_module": 12}', ""))
 
 
 def test_directive_string_fixed_order():
@@ -201,4 +214,4 @@ def test_tag_list_order_never_matters(surfaces):
 def test_to_document_round_trip():
     config = parse_tag_list(["#T_HIGHASSERT", "#C_CUT"])
     doc = json.dumps(config.to_document())
-    assert parse_config_document(doc) == config
+    assert speaker_module_from_obj(parse_json(doc, "")) == config

@@ -31,6 +31,40 @@ def test_rejects_empty_speaker():
         ResponsibilityEdge(source="", target="b", utterance_index=0)
 
 
+@pytest.mark.parametrize(
+    "fields", [{"utterance_index": True}, {"utterance_index": "x"}, {"label": 7}],
+    ids=["boolean-index", "string-index", "number-label"],
+)
+def test_edge_built_in_code_meets_the_json_checks(fields):
+    # a bad index or label beats a bad endpoint, as it does in from_dict
+    with pytest.raises(MalformedJson):
+        ResponsibilityEdge(source="", target="b", **fields)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"nodes": ["a"], "edgez": [{"from": "a", "to": "a"}]},
+         "unknown graph key 'edgez'; keys are nodes, edges"),
+        ({"nodes": ["a"], "edges": [{"from": "a", "to": "a", "lable": "c1"}]},
+         "unknown edge key 'lable'; keys are from, to, utterance_index, label"),
+    ],
+    ids=["graph", "edge"],
+)
+def test_from_dict_refuses_unknown_keys(doc, message):
+    with pytest.raises(MalformedJson) as raised:
+        ResponsibilityGraph.from_dict(doc)
+    assert str(raised.value) == message
+
+
+def test_unknown_keys_are_checked_after_every_other_fault():
+    doc = {"nodes": ["a"], "edges": [{"from": "a", "to": "a", "x": 1}, {"from": "a", "to": "zz"}]}
+    with pytest.raises(UnknownSpeaker):
+        ResponsibilityGraph.from_dict(doc)
+    with pytest.raises(UnknownSpeaker):
+        ResponsibilityGraph.from_dict({"nodes": [""], "edgez": []})
+
+
 def test_from_dict_rejects_dangling_endpoint():
     with pytest.raises(UnknownSpeaker):
         ResponsibilityGraph.from_dict(
