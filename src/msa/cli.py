@@ -10,19 +10,28 @@ config file > built-in default. The optional config file (--config PATH) is
 a flat JSON object whose keys are host, port, llm, data_dir, and output_dir;
 any other key is a validation error.
 
-Exit codes: 0 success, 2 validation error, 1 runtime error.
+Exit codes: 0 success, 2 validation error, 1 runtime error (among them an LLM
+backend that fails or times out).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from .dialogue.llm import client_from_name
-from .errors import InvalidRequest, MalformedJson, MsaError
+from .errors import (
+    InvalidRequest,
+    LlmTimeout,
+    LlmUnavailable,
+    MalformedJson,
+    MsaError,
+    RangeViolation,
+)
 from .fixtures import FIXTURE_CASES, load_fixture
 from .gcode.tags import (
     SpeakerModuleConfig,
@@ -140,6 +149,8 @@ def _cmd_score_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if args.reference_t is not None and not math.isfinite(args.reference_t):
+        raise RangeViolation(f"--reference-t must be finite, got {args.reference_t}")
     group_a = GroupStats.parse(args.a)
     group_b = GroupStats.parse(args.b)
     variant = "welch" if args.welch else "pooled"
@@ -260,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MsaError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (LlmUnavailable, LlmTimeout)) else 2
     except KeyboardInterrupt:
         return 1
     except Exception as exc:  # runtime failures: missing files, sockets, ...

@@ -177,15 +177,17 @@ def replay(transcript: "Transcript") -> ChainState:
     return state
 
 
-def flag_silent_abandonment(
-    state: ChainState, transcript: "Transcript", k: int = 5
-) -> list[str]:
+# later turns by a commitment's holder that must all skip it before it is flagged
+_SILENT_TURNS = 5
+
+
+def flag_silent_abandonment(state: ChainState, transcript: "Transcript") -> list[str]:
     """Ids of live commitments whose holder went quiet on them.
 
-    A commitment is reported when its holder produced at least ``k`` later
-    turns and none of them references it. Reference detection is lexical:
-    sharing a normalized token of four or more characters with the commitment
-    text. Reporting only; the state is never mutated.
+    A commitment is reported when its holder produced at least five
+    (``_SILENT_TURNS``) later turns and none of them references it. Reference
+    detection is lexical: sharing a normalized token of four or more characters
+    with the commitment text. Reporting only; the state is never mutated.
     """
     flagged = []
     for commitment in state.commitments:
@@ -197,7 +199,7 @@ def flag_silent_abandonment(
             for turn in transcript.turns
             if turn.speaker == commitment.holder and turn.index > commitment.created_at
         ]
-        if len(later) < k:
+        if len(later) < _SILENT_TURNS:
             continue
         if not any(anchor & content_tokens(turn.text) for turn in later):
             flagged.append(commitment.id)

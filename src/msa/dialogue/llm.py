@@ -23,7 +23,7 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Protocol, TYPE_CHECKING
 
-from ..errors import LlmTimeout, LlmUnavailable, MalformedJson
+from ..errors import InvalidRequest, LlmTimeout, LlmUnavailable, MalformedJson
 from ..jsonio import parse_json
 
 if TYPE_CHECKING:
@@ -59,7 +59,7 @@ class RemoteLlmClient:
     def from_env(cls) -> "RemoteLlmClient":
         base_url = os.environ.get(ENV_BASE_URL, "")
         if not base_url:
-            raise LlmUnavailable(f"{ENV_BASE_URL} is not set")
+            raise InvalidRequest(f"{ENV_BASE_URL} is not set")
         return cls(
             base_url=base_url,
             model=os.environ.get(ENV_MODEL, "default"),
@@ -110,4 +110,4 @@ def client_from_name(name: str) -> LlmClient:
         return StubLlmClient()
     if name == "remote":
         return RemoteLlmClient.from_env()
-    raise LlmUnavailable(f"unknown llm client {name!r} (expected 'stub' or 'remote')")
+    raise InvalidRequest(f"unknown llm client {name!r} (expected 'stub' or 'remote')")

@@ -1,8 +1,8 @@
 """The tag language's one table: the six dimensions, their prefixes and their values.
 
 ``Dimension`` lists the control dimensions in canonical serialization order.
-Each has one surface prefix and a closed set of values, 19 in all, which the
-tag parsers check against.
+Each has one surface prefix and a closed set of values, 19 in all, which
+``GCodeTag`` checks every tag against.
 """
 
 from __future__ import annotations
@@ -44,5 +44,5 @@ DIMENSION_BY_KEY = {dim.value: dim for dim in Dimension}
 
 
 def load_registry() -> dict[Dimension, tuple[str, ...]]:
-    """The vocabulary the tag parsers check against: ``VOCABULARY`` itself."""
+    """The vocabulary ``GCodeTag`` checks against: ``VOCABULARY`` itself."""
     return VOCABULARY

@@ -10,7 +10,7 @@ optionally inside a ``{"speaker_module": ...}`` wrapper document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..errors import (
     DuplicateDimension,
@@ -25,10 +25,18 @@ from .registry import DIMENSION_BY_KEY, DIMENSION_BY_PREFIX, DIMENSION_ORDER, VO
 
 @dataclass(frozen=True)
 class GCodeTag:
-    """One validated (dimension, value) pair."""
+    """One (dimension, value) pair, checked against ``VOCABULARY`` however it is built."""
 
     dimension: Dimension
     value: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.dimension, Dimension):
+            raise UnknownKey(f"unknown dimension {self.dimension!r}")
+        if self.value not in VOCABULARY[self.dimension]:
+            raise UnknownValue(
+                f"{self.surface!r}: {self.value!r} is not registered for {self.dimension.name}"
+            )
 
     @property
     def surface(self) -> str:
@@ -48,6 +56,8 @@ class SpeakerModuleConfig:
     def __post_init__(self) -> None:
         seen: set[Dimension] = set()
         for tag in self.tags:
+            if not isinstance(tag, GCodeTag):
+                raise MalformedToken(f"a tag must be a GCodeTag, got {type(tag).__name__}")
             if tag.dimension in seen:
                 raise DuplicateDimension(
                     f"{tag.surface!r}: dimension {tag.dimension.name} already set"
@@ -66,7 +76,7 @@ class SpeakerModuleConfig:
         return {"speaker_module": {tag.dimension.value: tag.value for tag in self.tags}}
 
 
-def parse_tag(surface: str, registry: Mapping[Dimension, Sequence[str]] | None = None) -> GCodeTag:
+def parse_tag(surface: str) -> GCodeTag:
     """Parse one tag surface into a canonical GCodeTag.
 
     Raises:
@@ -89,16 +99,10 @@ def parse_tag(surface: str, registry: Mapping[Dimension, Sequence[str]] | None =
     dimension = DIMENSION_BY_PREFIX.get(prefix)
     if dimension is None:
         raise UnknownPrefix(f"{surface!r}: unknown prefix {prefix!r}")
-    value = value_part.upper()
-    reg = registry or VOCABULARY
-    if value not in reg[dimension]:
-        raise UnknownValue(f"{surface!r}: {value!r} is not registered for {dimension.name}")
-    return GCodeTag(dimension=dimension, value=value)
+    return GCodeTag(dimension, value_part.upper())
 
 
-def parse_tag_list(
-    surfaces: Sequence[str], registry: Mapping[Dimension, Sequence[str]] | None = None
-) -> SpeakerModuleConfig:
+def parse_tag_list(surfaces: Sequence[str]) -> SpeakerModuleConfig:
     """Parse a sequence of tag surfaces into a config.
 
     Each tag joins the config as soon as it is parsed, so a second tag on one
@@ -106,13 +110,11 @@ def parse_tag_list(
     """
     config = SpeakerModuleConfig()
     for surface in surfaces:
-        config = SpeakerModuleConfig(tags=config.tags + (parse_tag(surface, registry),))
+        config = SpeakerModuleConfig(tags=config.tags + (parse_tag(surface),))
     return config
 
 
-def speaker_module_from_obj(
-    obj: object, registry: Mapping[Dimension, Sequence[str]] | None = None
-) -> SpeakerModuleConfig:
+def speaker_module_from_obj(obj: object) -> SpeakerModuleConfig:
     """Read a speaker module in any JSON form.
 
     Lists are tag-surface lists and objects are keyed objects. A one-key
@@ -121,12 +123,11 @@ def speaker_module_from_obj(
     if isinstance(obj, dict) and set(obj) == {"speaker_module"}:
         obj = obj["speaker_module"]
     if isinstance(obj, list):
-        return parse_tag_list(obj, registry)
+        return parse_tag_list(obj)
     if not isinstance(obj, dict):
         raise MalformedJson(
             f"speaker module must be a tag list or keyed object, got {type(obj).__name__}"
         )
-    reg = registry or VOCABULARY
     tags: list[GCodeTag] = []
     for key, raw_value in obj.items():
         dimension = DIMENSION_BY_KEY.get(str(key).lower())
@@ -134,10 +135,7 @@ def speaker_module_from_obj(
             raise UnknownKey(f"unknown dimension key {key!r}")
         if not isinstance(raw_value, str):
             raise UnknownValue(f"{key}: value must be a string, got {raw_value!r}")
-        value = raw_value.upper()
-        if value not in reg[dimension]:
-            raise UnknownValue(f"{key}: {raw_value!r} is not registered for {dimension.name}")
-        tags.append(GCodeTag(dimension=dimension, value=value))
+        tags.append(GCodeTag(dimension, raw_value.upper()))
     return SpeakerModuleConfig(tags=tuple(tags))
 
 

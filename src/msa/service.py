@@ -23,7 +23,6 @@ import sys
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import takewhile
-from typing import Mapping, Sequence
 
 from .dialogue.llm import LlmClient
 from .dialogue.transcript import DialogueTurn, Transcript
@@ -35,7 +34,7 @@ from .errors import (
     MalformedJson,
     MsaError,
 )
-from .gcode.registry import Dimension, load_registry
+from .gcode.registry import load_registry
 from .gcode.tags import build_prompt_directives, speaker_module_from_obj
 from .jsonio import parse_json
 from .msl.cycles import cyclic_components, detect_closed_loops
@@ -72,11 +71,13 @@ def generate_output(
     prompt: str,
     speaker_module: object,
     llm: LlmClient,
-    registry: Mapping[Dimension, Sequence[str]],
+    registry: object,
 ) -> dict[str, str]:
+    """The reply to ``prompt`` under ``speaker_module``. ``registry`` is unread, since
+    ``GCodeTag`` checks each tag itself; ROADMAP item 6 removes the parameter."""
     if not isinstance(prompt, str) or not prompt.strip():
         raise InvalidRequest("prompt must be a non-empty string")
-    config = speaker_module_from_obj(speaker_module, registry)
+    config = speaker_module_from_obj(speaker_module)
     directives = build_prompt_directives(config)
     context = Transcript(
         turns=(DialogueTurn(speaker="user", text=prompt, turn_role="user", index=0),)

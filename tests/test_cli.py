@@ -328,6 +328,35 @@ def test_stats_non_finite_mean_exits_2():
     assert "RangeViolation" in proc.stderr
 
 
+@pytest.mark.parametrize("reference", ["nan", "inf", "-inf"])
+def test_stats_non_finite_reference_t_exits_2(reference):
+    # the '=' form, since argparse would read a bare "-inf" as an option
+    proc = run_cli(
+        "stats", "--a", "1102,7.8,0.57", "--b", "373,6.4,0.24", f"--reference-t={reference}"
+    )
+    assert proc.returncode == 2
+    assert "RangeViolation" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_simulate_unreachable_llm_backend_exits_1(tmp_path):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"a": {}, "b": {}, "task": "x"}))
+    out = tmp_path / "out"
+    proc = run_cli(
+        "simulate",
+        str(task),
+        "--llm",
+        "remote",
+        "--out-dir",
+        str(out),
+        env_extra={"MSA_LLM_BASE_URL": "http://127.0.0.1:1"},  # nothing listens on port 1
+    )
+    assert proc.returncode == 1
+    assert "error [LlmUnavailable]:" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.fixture
 def refuse_serve(monkeypatch):
     """Fail instead of serving, so a port that slips through cannot hang the test."""

@@ -216,7 +216,7 @@ def test_silent_abandonment_flagged_after_k_turns():
         rows.append(("a", f"chatter number {i}", "user"))
     transcript = make_transcript(rows)
     state = replay(transcript)
-    assert flag_silent_abandonment(state, transcript, k=5) == ["c0"]
+    assert flag_silent_abandonment(state, transcript) == ["c0"]
 
 
 def test_mentioning_the_commitment_clears_the_flag():
@@ -228,7 +228,7 @@ def test_mentioning_the_commitment_clears_the_flag():
     rows.append(("a", "still planning the roadmap refresh", "user"))
     transcript = make_transcript(rows)
     state = replay(transcript)
-    assert flag_silent_abandonment(state, transcript, k=5) == []
+    assert flag_silent_abandonment(state, transcript) == []
 
 
 def test_too_few_later_turns_is_quiet():
@@ -236,7 +236,7 @@ def test_too_few_later_turns_is_quiet():
         [("a", "I will ship it.", "user"), ("a", "unrelated", "user")]
     )
     state = replay(transcript)
-    assert flag_silent_abandonment(state, transcript, k=5) == []
+    assert flag_silent_abandonment(state, transcript) == []
 
 
 def test_report_does_not_mutate_state():
@@ -244,5 +244,5 @@ def test_report_does_not_mutate_state():
     rows += [("a", f"noise token {i}", "user") for i in range(7)]
     transcript = make_transcript(rows)
     state = replay(transcript)
-    flag_silent_abandonment(state, transcript, k=5)
+    flag_silent_abandonment(state, transcript)
     assert state.commitments[0].status is CommitmentStatus.ACTIVE

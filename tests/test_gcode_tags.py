@@ -19,6 +19,7 @@ from msa.errors import (
 from msa.gcode.registry import DIMENSION_ORDER, VOCABULARY, Dimension, load_registry
 from msa.gcode.tags import (
     GCodeTag,
+    SpeakerModuleConfig,
     build_prompt_directives,
     parse_tag,
     parse_tag_list,
@@ -121,6 +122,31 @@ def test_duplicate_dimension_names_the_later_canonical_surface(module):
     with pytest.raises(DuplicateDimension) as raised:
         speaker_module_from_obj(module)
     assert str(raised.value) == "'#T_ASSERTIVE': dimension TONE already set"
+
+
+@pytest.mark.parametrize(
+    "module", [["#t_smug"], [" #T_smug "], {"Tone": "smug"}], ids=["list", "list-padded", "keyed"]
+)
+def test_unknown_value_names_the_canonical_surface(module):
+    with pytest.raises(UnknownValue) as raised:
+        speaker_module_from_obj(module)
+    assert str(raised.value) == "'#T_SMUG': 'SMUG' is not registered for TONE"
+
+
+@pytest.mark.parametrize(
+    "build,err",
+    [
+        (lambda: GCodeTag(Dimension.TONE, "smug"), UnknownValue),
+        (lambda: GCodeTag(Dimension.TONE, "SMUG"), UnknownValue),
+        (lambda: GCodeTag(Dimension.POSITION, "NEUTRAL"), UnknownValue),
+        (lambda: GCodeTag("tone", "NEUTRAL"), UnknownKey),
+        (lambda: SpeakerModuleConfig(tags=("#T_NEUTRAL",)), MalformedToken),
+    ],
+    ids=["lowercase", "unregistered", "other-dimension", "string-dimension", "string-tag"],
+)
+def test_values_built_in_code_meet_the_same_checks(build, err):
+    with pytest.raises(err):
+        build()
 
 
 def test_keyed_object_form():

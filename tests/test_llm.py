@@ -15,7 +15,7 @@ from msa.dialogue.llm import (
     StubLlmClient,
     client_from_name,
 )
-from msa.errors import LlmTimeout, LlmUnavailable
+from msa.errors import InvalidRequest, LlmTimeout, LlmUnavailable
 from helpers import make_transcript
 
 
@@ -33,13 +33,13 @@ def test_stub_is_deterministic():
 
 def test_client_from_name():
     assert isinstance(client_from_name("stub"), StubLlmClient)
-    with pytest.raises(LlmUnavailable):
+    with pytest.raises(InvalidRequest):
         client_from_name("nonsense")
 
 
 def test_remote_from_env_requires_base_url(monkeypatch):
     monkeypatch.delenv(ENV_BASE_URL, raising=False)
-    with pytest.raises(LlmUnavailable):
+    with pytest.raises(InvalidRequest):
         RemoteLlmClient.from_env()
 
 
