@@ -10,8 +10,8 @@ config file > built-in default. The optional config file (--config PATH) is
 a flat JSON object whose keys are host, port, llm, data_dir, and output_dir;
 any other key is a validation error.
 
-Exit codes: 0 success, 2 validation error, 1 runtime error (among them an LLM
-backend that fails or times out).
+Exit codes: 0 success, 2 validation error, 1 runtime error (among them an
+error whose http_status is 500 or more: an LLM backend that fails or times out).
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ import sys
 from pathlib import Path
 
 from .dialogue.llm import client_from_name
-from .errors import (
-    InvalidRequest,
-    LlmTimeout,
-    LlmUnavailable,
-    MalformedJson,
-    MsaError,
-    RangeViolation,
-)
+from .errors import InvalidRequest, MalformedJson, MsaError, RangeViolation
 from .fixtures import FIXTURE_CASES, load_fixture
 from .gcode.tags import (
     SpeakerModuleConfig,
@@ -155,10 +148,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     group_b = GroupStats.parse(args.b)
     variant = "welch" if args.welch else "pooled"
     t, df = two_sample_t(group_a, group_b, variant=variant)
+    ci_a = mean_confidence_interval(group_a, args.level)  # both before the first line is printed
+    ci_b = mean_confidence_interval(group_b, args.level)
     df_text = f"{df:.0f}" if variant == "pooled" else f"{df:.2f}"
     print(f"t({df_text}) = {t:.4f}  [{variant}]")
-    ci_a = mean_confidence_interval(group_a, args.level)
-    ci_b = mean_confidence_interval(group_b, args.level)
     print(f"group a: n={group_a.n} mean={group_a.mean} ci{args.level:.2f}={format_interval(*ci_a)}")
     print(f"group b: n={group_b.n} mean={group_b.mean} ci{args.level:.2f}={format_interval(*ci_b)}")
     if args.reference_t is not None:
@@ -271,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MsaError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (LlmUnavailable, LlmTimeout)) else 2
+        return 1 if exc.http_status >= 500 else 2
     except KeyboardInterrupt:
         return 1
     except Exception as exc:  # runtime failures: missing files, sockets, ...

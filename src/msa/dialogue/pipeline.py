@@ -9,12 +9,11 @@ Order of operations, fixed:
    drifted, append the realignment directive to the compiled string
 5. ask the client for a reply
 6. fold the reply into the commitment chain
-7. score the extended dialogue with the heuristic triple
 
 Every stage runs with its module's one policy: the inference cue table, the
 role cue table, the commitment phrases, and the drift threshold.
 Deterministic end to end with the stub client: same context, same previous
-tags, same speaker give byte-identical directives, reply, and scores.
+tags, same speaker give byte-identical directives, reply, and chain.
 """
 
 from __future__ import annotations
@@ -24,7 +23,9 @@ from dataclasses import dataclass
 from ..errors import EmptyContext, LlmUnavailable
 from ..gcode.inference import infer_tags
 from ..gcode.tags import SpeakerModuleConfig, build_prompt_directives
-from ..scoring.heuristics import HeuristicScores, heuristic_score
+# Unread here since run_pipeline stopped scoring; perfbench's SimulateLong patches the
+# name in this module, so it stays bound until ROADMAP item 6 frees it.
+from ..scoring.heuristics import heuristic_score  # noqa: F401
 from .commitments import ChainState, replay, update_commitments
 from .drift import DriftReport, detect_drift
 from .llm import LlmClient
@@ -38,7 +39,6 @@ class PipelineResult:
     directives: str
     chain: ChainState
     drift: DriftReport | None
-    scores: HeuristicScores
 
 
 def run_pipeline(
@@ -80,5 +80,4 @@ def run_pipeline(
         index=context.next_index,
     )
     chain = update_commitments(chain, reply)
-    scores = heuristic_score(context.with_turn(reply))
-    return PipelineResult(reply=reply, directives=directives, chain=chain, drift=drift, scores=scores)
+    return PipelineResult(reply=reply, directives=directives, chain=chain, drift=drift)

@@ -1,7 +1,9 @@
 """Exception taxonomy for the engine.
 
 Every error type's class name doubles as its machine-readable code, which the
-HTTP layer and the CLI reuse verbatim when reporting failures.
+HTTP layer and the CLI reuse verbatim when reporting failures. Its
+``http_status`` is the status the service answers with, and the CLI's exit
+code follows from it: 1 when it is 500 or more, 2 otherwise.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 
 class MsaError(Exception):
     """Base class for all engine-level errors."""
+
+    http_status = 400
 
     @property
     def code(self) -> str:
@@ -62,11 +66,11 @@ class InvalidTransition(MsaError):
 
 
 class LlmUnavailable(MsaError):
-    pass
+    http_status = 502
 
 
 class LlmTimeout(MsaError):
-    pass
+    http_status = 504
 
 
 # --- scoring ---

@@ -123,7 +123,7 @@ def load_context_rules(path: str | Path) -> list[ContextRule]:
 
     A rule's keys are ContextRule's fields; any other key raises MalformedJson.
     """
-    raw = parse_json(Path(path).read_bytes(), "")
+    raw = parse_json(Path(path).read_bytes(), str(path))
     if not isinstance(raw, list):
         raise MalformedJson("rules file must hold a JSON array")
     rules = []

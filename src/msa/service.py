@@ -26,14 +26,7 @@ from itertools import takewhile
 
 from .dialogue.llm import LlmClient
 from .dialogue.transcript import DialogueTurn, Transcript
-from .errors import (
-    GraphTooLarge,
-    InvalidRequest,
-    LlmTimeout,
-    LlmUnavailable,
-    MalformedJson,
-    MsaError,
-)
+from .errors import GraphTooLarge, InvalidRequest, MalformedJson, MsaError
 from .gcode.registry import load_registry
 from .gcode.tags import build_prompt_directives, speaker_module_from_obj
 from .jsonio import parse_json
@@ -101,13 +94,16 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # keep test output quiet; operators can wrap serve() for logging
 
-    def _send(self, status: int, body: dict[str, object] | bytes, close: bool = False) -> None:
-        """Reply with ``body``: bytes as they are, a dict as one line of JSON."""
+    def _send(self, status: int, body: dict[str, object] | bytes) -> None:
+        """Reply with ``body``: bytes as they are, a dict as one line of JSON.
+
+        The reply says ``Connection: close`` exactly when the connection closes after it.
+        """
         if isinstance(body, dict):
             body = (json.dumps(body, ensure_ascii=False) + "\n").encode("utf-8")
         self.send_response(status)
-        if close:
-            self.send_header("Connection", "close")  # send_header also sets close_connection on it
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -124,7 +120,8 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         self.request_version = "HTTP/1.1"  # a line with no valid version would get the HTTP/0.9 form
         phrase = HTTPStatus(code).phrase
         payload = {"code": "".join(filter(str.isalnum, phrase)), "message": message or phrase}
-        self._send(code, payload, close=True)
+        self.close_connection = True
+        self._send(code, payload)
 
     def _read_body(self) -> object:
         if "Transfer-Encoding" in self.headers:
@@ -153,8 +150,9 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         declared = (self.headers.get("Content-Length") or "").strip().lstrip("0")
         if declared or "Transfer-Encoding" in self.headers:
             # the body is not read: left unread, it would parse as the next request
+            self.close_connection = True
             message = f"GET {self.path} takes no body"
-            self._send(400, {"code": "InvalidRequest", "message": message}, close=True)
+            self._send(400, {"code": "InvalidRequest", "message": message})
         elif self.path == "/health":
             self._send(200, {"status": "ok"})
         else:
@@ -191,12 +189,8 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
                 self._send(200, analyze_graph_report(graph))
             else:
                 self._send(404, {"code": "NotFound", "message": f"no route for POST {self.path}"})
-        except LlmTimeout as exc:
-            self._send(504, {"code": exc.code, "message": str(exc)})
-        except LlmUnavailable as exc:
-            self._send(502, {"code": exc.code, "message": str(exc)})
         except MsaError as exc:
-            self._send(400, {"code": exc.code, "message": str(exc)})
+            self._send(exc.http_status, {"code": exc.code, "message": str(exc)})
         except Exception as exc:  # pragma: no cover - last-resort guard
             self._send(500, {"code": "InternalError", "message": str(exc)})
 

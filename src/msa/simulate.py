@@ -64,7 +64,7 @@ class MultiSpeakerTask:
 
 
 def load_task(path: str | Path) -> MultiSpeakerTask:
-    return MultiSpeakerTask.from_obj(parse_json(Path(path).read_bytes(), ""))
+    return MultiSpeakerTask.from_obj(parse_json(Path(path).read_bytes(), str(path)))
 
 
 def simulate(

@@ -508,3 +508,41 @@ def test_serve_on_a_port_in_use_exits_1_without_a_banner():
     assert proc.returncode == 1
     assert "listening" not in proc.stderr
     assert "Address already in use" in proc.stderr
+
+
+@pytest.mark.parametrize("level", ["2", "nan"])
+def test_stats_bad_level_exits_2_before_any_output(capsys, level):
+    assert main(["stats", "--a", "1102,7.8,0.57", "--b", "373,6.4,0.24", "--level", level]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[RangeViolation]" in err
+
+
+@pytest.mark.parametrize(
+    "argv,document,key",
+    [
+        (["parse", "{document}"], '{"tone": "NEUTRAL", "tone": "ASSERTIVE"}', "tone"),
+        (["simulate", "{file}", "--out-dir", "{out}"],
+         '{"a": {"tone": "NEUTRAL"}, "b": {}, "a": {}, "task": "Plan it."}', "a"),
+        (["graph", "{file}"],
+         '{"nodes": ["a", "b"], "edges": [], "edges": [{"from": "a", "to": "b"}]}', "edges"),
+    ],
+    ids=["speaker-module", "task", "graph"],
+)
+def test_repeated_json_key_exits_2(tmp_path, capsys, argv, document, key):
+    path = tmp_path / "doc.json"
+    path.write_text(document, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    fill = {"{document}": document, "{file}": str(path), "{out}": str(out_dir)}
+    assert main([fill.get(arg, arg) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[MalformedJson]" in err and f"repeated key {key!r}" in err
+    assert not out_dir.exists()
+
+
+def test_simulate_malformed_task_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("", encoding="utf-8")
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error [MalformedJson]: {path}: Expecting value")

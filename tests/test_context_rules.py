@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -119,6 +120,13 @@ def test_load_context_rules(tmp_path):
         load_context_rules(path)
     path.write_text("{}")
     with pytest.raises(MalformedJson):
+        load_context_rules(path)
+
+
+def test_load_context_rules_parse_error_names_the_file(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text("[", encoding="utf-8")
+    with pytest.raises(MalformedJson, match=f"^{re.escape(str(path))}: Expecting value"):
         load_context_rules(path)
 
 

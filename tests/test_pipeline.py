@@ -1,4 +1,4 @@
-"""The per-turn orchestration: tags, role, commitments, drift, reply, scores."""
+"""The per-turn orchestration: tags, role, commitments, drift, reply."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from msa.dialogue.pipeline import run_pipeline
 from msa.dialogue.transcript import PragmaticRole
 from msa.errors import EmptyContext
 from msa.gcode.tags import SpeakerModuleConfig, parse_tag_list
+from msa.scoring.heuristics import heuristic_score
 from helpers import make_transcript
 
 STUB = StubLlmClient()
@@ -98,10 +99,11 @@ def test_scores_cover_extended_transcript():
         ]
     )
     result = run_pipeline(ctx, SpeakerModuleConfig(), STUB, "assistant")
+    scores = heuristic_score(ctx.with_turn(result.reply))
     # three commitment-bearing turns, alternating speakers, no short turns
-    assert result.scores.role_continuity == 9
-    assert result.scores.responsibility_trace == 9
-    assert result.scores.context_integrity == 9
+    assert scores.role_continuity == 9
+    assert scores.responsibility_trace == 9
+    assert scores.context_integrity == 9
 
 
 def test_pipeline_is_deterministic():

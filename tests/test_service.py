@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import socket
 import subprocess
 import sys
 import urllib.error
 import urllib.request
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
+from msa import errors
 from msa.dialogue.llm import StubLlmClient
 from msa.errors import LlmTimeout, LlmUnavailable
 from msa.service import MAX_BODY_BYTES, MsaRequestHandler, analyze_graph_report
@@ -31,6 +35,8 @@ SAMPLE_BODY = {
         "#E_TIGHT",
     ],
 }
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FULL_DIRECTIVES = (
     "[TONE=SOFTASSERT] [POSITION=SELFREF] [CLOSURE=LOOP] "
@@ -139,6 +145,7 @@ def test_bad_content_length_is_400(length):
         )
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.split(b" ", 2)[1] == b"400"
+    assert b"\r\nConnection: close\r\n" in head
     assert json.loads(body)["code"] == "InvalidRequest"
 
 
@@ -150,6 +157,7 @@ def test_short_body_times_out_with_400(monkeypatch):
         )
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.split(b" ", 2)[1] == b"400"
+    assert b"\r\nConnection: close\r\n" in head
     assert json.loads(body)["code"] == "InvalidRequest"
 
 
@@ -163,7 +171,23 @@ def test_chunked_body_gets_one_json_reply_then_eof():
         reply = _exchange_until_close(port, request)
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.split(b" ", 2)[1] == b"400"
+    assert b"\r\nConnection: close\r\n" in head
     assert json.loads(body)["code"] == "InvalidRequest"  # one JSON document: no second reply
+
+
+@pytest.mark.parametrize(
+    "version,header",
+    [("HTTP/1.0", ""), ("HTTP/1.1", "Connection: close\r\n")],
+    ids=["http-1.0", "connection-close"],
+)
+def test_success_before_a_close_says_connection_close(version, header):
+    request = f"GET /health {version}\r\nHost: localhost\r\n{header}\r\n".encode("ascii")
+    with running_server() as port:
+        reply = _exchange_until_close(port, request)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"200"
+    assert b"\r\nConnection: close\r\n" in head
+    assert json.loads(body) == {"status": "ok"}
 
 
 @pytest.mark.parametrize(
@@ -249,6 +273,20 @@ def test_llm_unavailable_maps_to_502():
         )
     assert status == 502
     assert body["code"] == "LlmUnavailable"
+
+
+def test_readme_error_table_gives_each_class_its_http_status():
+    section = README.read_text(encoding="utf-8").split("\n## HTTP service\n", 1)[1]
+    rows = section.split("\n| condition | status | code |\n", 1)[1].splitlines()[1:]
+    documented = {}
+    for row in takewhile(lambda line: line.startswith("|"), rows):
+        _, status, codes = row.strip("|").rsplit("|", 2)
+        documented |= {code: int(status) for code in re.findall(r"`(\w+)`", codes)}
+    classes = {code: getattr(errors, code) for code in documented if hasattr(errors, code)}
+    assert {"InvalidRequest", "MalformedJson", "LlmUnavailable", "LlmTimeout"} <= set(classes)
+    assert {code: cls.http_status for code, cls in classes.items()} == {
+        code: documented[code] for code in classes
+    }
 
 
 def test_annotate_endpoint_matches_cli_byte_for_byte(tmp_path):

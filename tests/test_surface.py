@@ -77,7 +77,7 @@ def test_every_public_name_has_a_caller_or_documentation():
 # The count of settable values: parameter defaults of functions and methods
 # other than dunder methods, plus class-level annotated fields with a default.
 # A change that adds one raises this ceiling in its own diff and says why.
-SETTABLE_CEILING = 28
+SETTABLE_CEILING = 27
 
 
 def settable_values() -> list[str]:
