@@ -11,20 +11,19 @@ JSON-over-HTTP contract and is configured from the environment:
 
 Request body: {"model": ..., "directives": ..., "messages": [{"role",
 "content"}, ...]}. Expected response body: {"output": "..."}; a reply that
-is not a JSON object, or has a missing or empty "output", is LlmUnavailable.
+is not a JSON object, or has a missing or empty "output", is LlmUnavailable,
+and so is one longer than MAX_BODY_BYTES, which is not read past that size.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Protocol, TYPE_CHECKING
 
 from ..errors import InvalidRequest, LlmTimeout, LlmUnavailable, MalformedJson
-from ..jsonio import parse_json
+from ..jsonio import MAX_BODY_BYTES, parse_json
 
 if TYPE_CHECKING:
     from .transcript import Transcript
@@ -67,6 +66,11 @@ class RemoteLlmClient:
         )
 
     def generate(self, directives: str, context: "Transcript") -> str:
+        # imported here, so that a process with no remote backend never loads urllib.request
+        # and the hashlib it pulls in, about 1 MiB of resident memory
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps(
             {
                 "model": self.model,
@@ -86,7 +90,10 @@ class RemoteLlmClient:
             request = urllib.request.Request(self.base_url, data=payload, headers=headers)
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = parse_json(response.read(), "")
+                    raw = response.read(MAX_BODY_BYTES + 1)
+                    if len(raw) > MAX_BODY_BYTES:
+                        raise LlmUnavailable(f"backend reply exceeds {MAX_BODY_BYTES} bytes")
+                    body = parse_json(raw, "")
                     output = body.get("output") if isinstance(body, dict) else None
                     if not isinstance(output, str) or not output:
                         raise LlmUnavailable(f"backend returned no 'output' text: {body!r}")

@@ -24,7 +24,7 @@ from ..errors import EmptyContext, LlmUnavailable
 from ..gcode.inference import infer_tags
 from ..gcode.tags import SpeakerModuleConfig, build_prompt_directives
 # Unread here since run_pipeline stopped scoring; perfbench's SimulateLong patches the
-# name in this module, so it stays bound until ROADMAP item 6 frees it.
+# name in this module, so it stays bound until ROADMAP item 10 frees it.
 from ..scoring.heuristics import heuristic_score  # noqa: F401
 from .commitments import ChainState, replay, update_commitments
 from .drift import DriftReport, detect_drift

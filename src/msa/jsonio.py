@@ -11,6 +11,10 @@ from collections import Counter
 
 from .errors import MalformedJson
 
+# The most bytes read as one JSON document from a peer: a service request body, or a
+# remote backend's reply
+MAX_BODY_BYTES = 4 * 1024 * 1024
+
 
 def _refuse_constant(name: str) -> object:
     raise ValueError(f"{name} is not a JSON value")

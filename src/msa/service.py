@@ -29,12 +29,10 @@ from .dialogue.transcript import DialogueTurn, Transcript
 from .errors import GraphTooLarge, InvalidRequest, MalformedJson, MsaError
 from .gcode.registry import load_registry
 from .gcode.tags import build_prompt_directives, speaker_module_from_obj
-from .jsonio import parse_json
+from .jsonio import MAX_BODY_BYTES, parse_json
 from .msl.cycles import cyclic_components, detect_closed_loops
 from .msl.graph import ResponsibilityGraph, detect_partial_drift
 from .scoring.report import annotate_transcript, scorecard_json
-
-MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
 def analyze_graph_report(graph: ResponsibilityGraph) -> dict[str, object]:
@@ -67,7 +65,7 @@ def generate_output(
     registry: object,
 ) -> dict[str, str]:
     """The reply to ``prompt`` under ``speaker_module``. ``registry`` is unread, since
-    ``GCodeTag`` checks each tag itself; ROADMAP item 6 removes the parameter."""
+    ``GCodeTag`` checks each tag itself; ROADMAP item 10 removes the parameter."""
     if not isinstance(prompt, str) or not prompt.strip():
         raise InvalidRequest("prompt must be a non-empty string")
     config = speaker_module_from_obj(speaker_module)
@@ -90,6 +88,9 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
     server: MsaHttpServer
     protocol_version = "HTTP/1.1"
     timeout = 10  # seconds a socket read or write may stall before the connection is dropped
+    # TCP_NODELAY: the headers and the body go out as two writes, and Nagle's algorithm
+    # would hold the body until the client's delayed ACK, about 40 ms per kept-alive request
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # keep test output quiet; operators can wrap serve() for logging

@@ -119,3 +119,15 @@ def test_every_module_has_a_layer_and_no_leaf_imports_a_composer():
         if _layer(target) == "composer"
     ]
     assert upward == []
+
+
+def test_no_remote_client_import_until_a_remote_backend_is_used():
+    # urllib.request and the hashlib it loads cost about 1 MiB of resident memory;
+    # the service, simulate and annotate paths with the stub client never use them.
+    code = (
+        "import sys, msa.service, msa.simulate, msa.scoring.report; "
+        "print('urllib.request' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -16,6 +16,7 @@ from msa.dialogue.llm import (
     client_from_name,
 )
 from msa.errors import InvalidRequest, LlmTimeout, LlmUnavailable
+from msa.jsonio import MAX_BODY_BYTES
 from helpers import make_transcript
 
 
@@ -48,6 +49,19 @@ def test_remote_from_env_requires_base_url(monkeypatch):
 REPLY_BODIES = {"array": b"[]", "string": b'"text"', "deep": b"[" * 1000 + b"]" * 1000}
 
 
+def _output_of_length(size: int) -> bytes:
+    """A well-formed reply of exactly ``size`` bytes."""
+    return b'{"output": "' + b"x" * (size - 14) + b'"}'
+
+
+# Replies that are well formed and differ only in size: the cap, and one byte past it.
+SIZED_BODIES = {
+    "at-cap": _output_of_length(MAX_BODY_BYTES),
+    "over-cap": _output_of_length(MAX_BODY_BYTES + 1),
+}
+CANNED_BODIES = REPLY_BODIES | SIZED_BODIES
+
+
 class _Script(BaseHTTPRequestHandler):
     """One-behavior fake endpoint; the behavior is set on the server object."""
 
@@ -64,11 +78,11 @@ class _Script(BaseHTTPRequestHandler):
             self.send_header("Content-Type", "application/json")
             self.end_headers()
             self.wfile.write(payload.encode())
-        elif mode in REPLY_BODIES:
+        elif mode in CANNED_BODIES:
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.end_headers()
-            self.wfile.write(REPLY_BODIES[mode])
+            self.wfile.write(CANNED_BODIES[mode])
         elif mode in ("missing-field", "empty-output"):
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -152,6 +166,17 @@ def test_remote_reply_that_is_no_json_object_is_unavailable(fake_endpoint, mode)
     ctx = make_transcript([("u", "ping", "user")])
     with pytest.raises(LlmUnavailable):
         client.generate("", ctx)
+
+
+def test_remote_reply_past_the_size_cap_is_unavailable_without_retry(fake_endpoint):
+    client = _client_for(fake_endpoint)  # two retries, none of which may run
+    ctx = make_transcript([("u", "ping", "user")])
+    fake_endpoint.mode = "at-cap"
+    assert len(client.generate("", ctx)) == MAX_BODY_BYTES - 14
+    fake_endpoint.mode = "over-cap"
+    with pytest.raises(LlmUnavailable, match=f"exceeds {MAX_BODY_BYTES} bytes"):
+        client.generate("", ctx)
+    assert len(fake_endpoint.seen) == 2  # one request per call
 
 
 def test_remote_connection_refused_is_unavailable():

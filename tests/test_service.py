@@ -8,17 +8,20 @@ import re
 import socket
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 from itertools import takewhile
 from pathlib import Path
+from statistics import median
 
 import pytest
 
 from msa import errors
 from msa.dialogue.llm import StubLlmClient
 from msa.errors import LlmTimeout, LlmUnavailable
-from msa.service import MAX_BODY_BYTES, MsaRequestHandler, analyze_graph_report
+from msa.jsonio import MAX_BODY_BYTES
+from msa.service import MsaRequestHandler, analyze_graph_report
 from helpers import get_json, make_graph, post_json, running_server
 
 SAMPLE_BODY = {
@@ -188,6 +191,37 @@ def test_success_before_a_close_says_connection_close(version, header):
     assert head.split(b" ", 2)[1] == b"200"
     assert b"\r\nConnection: close\r\n" in head
     assert json.loads(body) == {"status": "ok"}
+
+
+def _health_seconds(conn: http.client.HTTPConnection) -> float:
+    """One ``GET /health`` round trip on ``conn``, which connects first if it is not open."""
+    started = time.perf_counter()
+    conn.request("GET", "/health")
+    response = conn.getresponse()
+    assert (response.status, json.loads(response.read())) == (200, {"status": "ok"})
+    return time.perf_counter() - started
+
+
+def test_kept_alive_request_is_not_held_for_the_delayed_ack():
+    # A reply's headers and body go out as two writes. Without TCP_NODELAY the body
+    # waits for the client's delayed ACK, about 40 ms, on each request after the first
+    # on a connection, so a kept-alive round trip would cost more than one that opens
+    # its own connection. Both timings come from this machine: no absolute bound.
+    with running_server() as port:
+        kept = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            _health_seconds(kept)  # opens the connection
+            kept_alive = [_health_seconds(kept) for _ in range(10)]
+        finally:
+            kept.close()
+        fresh = []
+        for _ in range(10):  # one socket at a time
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                fresh.append(_health_seconds(conn))
+            finally:
+                conn.close()
+    assert median(kept_alive) < median(fresh), (kept_alive, fresh)
 
 
 @pytest.mark.parametrize(

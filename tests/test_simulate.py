@@ -218,10 +218,10 @@ class _Committing:
     strict=True,
     raises=AssertionError,
     reason="every reply replays the whole context and copies the commitments; "
-    "ROADMAP item 3, the DialogueSession, makes the per-reply cost flat",
+    "ROADMAP item 3, the reply-only pipeline, makes the per-reply cost flat",
 )
 def test_per_reply_cost_is_flat_as_the_transcript_grows():
-    # ROADMAP item 1's ratio gate. A reply should cost the same at any
+    # ROADMAP item 3's ratio gate. A reply should cost the same at any
     # position; replaying the context makes it grow with the turn count, and
     # commitment-bearing replies expose the cubic term. It reads about 4x to 8x.
     task = MultiSpeakerTask.from_obj(TASK_OBJ)
@@ -234,7 +234,7 @@ def test_per_reply_cost_is_flat_as_the_transcript_grows():
     strict=True,
     raises=AssertionError,
     reason="every reply replays the whole context, so it folds every earlier turn again; "
-    "ROADMAP item 3, the DialogueSession, folds each turn once",
+    "ROADMAP item 3, the reply-only pipeline, folds no turn per reply",
 )
 def test_chain_folds_per_reply_are_flat_as_the_transcript_grows(monkeypatch):
     # The work counter beside the ratio gate above: deterministic, no wall clock.
