@@ -99,16 +99,18 @@ class DialogueTurn:
 _TURN_KEYS = dict.fromkeys(field.name for field in fields(DialogueTurn)).keys()
 
 
+def _check_follows(prev: DialogueTurn, curr: DialogueTurn) -> None:
+    if curr.index != prev.index + 1:
+        raise InvalidRequest(f"turn indices must be consecutive: {prev.index} then {curr.index}")
+
+
 @dataclass(frozen=True)
 class Transcript:
     turns: tuple[DialogueTurn, ...] = ()
 
     def __post_init__(self) -> None:
         for prev, curr in zip(self.turns, self.turns[1:]):
-            if curr.index != prev.index + 1:
-                raise InvalidRequest(
-                    f"turn indices must be consecutive: {prev.index} then {curr.index}"
-                )
+            _check_follows(prev, curr)
 
     def __len__(self) -> int:
         return len(self.turns)
@@ -118,7 +120,13 @@ class Transcript:
         return self.turns[-1].index + 1 if self.turns else 0
 
     def with_turn(self, turn: DialogueTurn) -> "Transcript":
-        return Transcript(turns=self.turns + (turn,))
+        """This transcript and then ``turn``. The earlier pairs were checked when
+        this transcript was built, so only the new turn's index is checked."""
+        if self.turns:
+            _check_follows(self.turns[-1], turn)
+        extended = object.__new__(Transcript)
+        object.__setattr__(extended, "turns", self.turns + (turn,))
+        return extended
 
     @classmethod
     def from_dicts(cls, rows: Iterable[Mapping[str, object]]) -> "Transcript":

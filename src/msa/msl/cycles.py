@@ -6,9 +6,13 @@ first), parallel edges collapse to one adjacency, and a self-edge counts as a
 length-1 loop. Enumeration uses Johnson's algorithm (D. B. Johnson, "Finding
 all the elementary circuits of a directed graph", SIAM J. Comput. 1975), whose
 work is O((V+E)(C+1)) for V nodes, E edges and C loops: a single ring costs one
-pass. Loops are emitted once each, ordered by length and then by nodes (code
-point order): each anchor's circuits leave the search in lexicographic order,
-and bucketing them by length, anchor by anchor, needs no sort over the loops.
+pass. The search runs on integer ids: each strongly connected component numbers
+its nodes by code point order, so the anchor, its smallest node, is id 0, and
+every other node carries its sorted successor ids plus a flag for an edge back
+to the anchor. A circuit is emitted when its last node is pushed, so each
+anchor's circuits leave the search in lexicographic order. Loops are emitted
+once each, ordered by length and then by nodes (code point order): bucketing
+the circuits by length, anchor by anchor, needs no sort over the loops.
 C itself can be exponential in V, so exhaustive mode refuses graphs beyond
 EXHAUSTIVE_NODE_LIMIT nodes; above the limit callers fall back to
 cyclic_components, which only names the strongly connected components that
@@ -17,27 +21,29 @@ contain a cycle.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from ..errors import GraphTooLarge
 from .graph import ResponsibilityGraph, SpeakerId
 
 EXHAUSTIVE_NODE_LIMIT = 10_000
 
+_Node = TypeVar("_Node", bound=Hashable)
 
-def _tarjan_sccs(adj: Mapping[str, Iterable[str]]) -> list[set[str]]:
+
+def _tarjan_sccs(adj: Mapping[_Node, Iterable[_Node]]) -> list[set[_Node]]:
     """Strongly connected components, iteratively (no recursion limit issues)."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[set[str]] = []
+    index_of: dict[_Node, int] = {}
+    low: dict[_Node, int] = {}
+    on_stack: set[_Node] = set()
+    stack: list[_Node] = []
+    sccs: list[set[_Node]] = []
     counter = 0
 
     for root in adj:
         if root in index_of:
             continue
-        work: list[tuple[str, Iterable[str]]] = [(root, iter(adj[root]))]
+        work: list[tuple[_Node, Iterator[_Node]]] = [(root, iter(adj[root]))]
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -63,7 +69,7 @@ def _tarjan_sccs(adj: Mapping[str, Iterable[str]]) -> list[set[str]]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
             if low[node] == index_of[node]:
-                component: set[str] = set()
+                component: set[_Node] = set()
                 while True:
                     member = stack.pop()
                     on_stack.discard(member)
@@ -95,55 +101,72 @@ def detect_closed_loops(graph: ResponsibilityGraph) -> list[list[SpeakerId]]:
     # come out already in canonical rotation; then drop the anchor and split
     # the rest of the SCC again. Each SCC taken from `pending` yields at least
     # one circuit, which is what bounds the work by the number of loops.
-    pending = [c for c in _tarjan_sccs(adj) if len(c) > 1]
+    pending = [sorted(c) for c in _tarjan_sccs(adj) if len(c) > 1]
     longest = max(map(len, pending), default=1)
     while pending:
-        component = pending.pop()
-        step = {n: [s for s in adj[n] if s in component and s != n] for n in component}
-        anchor = min(component)
-        # Successor lists are sorted and the anchor, the component's smallest
-        # node, leads any list it is in, so a path closes before it is
-        # extended: the search meets the anchor's circuits in lexicographic
-        # order.
+        names = pending.pop()  # sorted, so id order is code point order
+        anchor = names[0]
+        ids = {name: i for i, name in enumerate(names)}
+        # step[i]: i's successor ids in the component, sorted (adj is), leaving
+        # out i and the anchor; closes[i]: i has an edge back to the anchor.
+        step: list[list[int]] = []
+        closes: list[bool] = []
+        for name in names:
+            targets = [ids[s] for s in adj[name] if s in ids and s != name]
+            closes.append(targets[:1] == [0])
+            step.append(targets[1:] if closes[-1] else targets)
+        # A circuit is emitted when its last node is pushed, before the search
+        # goes deeper, so with sorted step lists the anchor's circuits come out
+        # in lexicographic order.
         circuits: list[list[SpeakerId]] = []
         by_anchor[anchor] = circuits
+        emit = circuits.append
         # Johnson's blocking: a node stays blocked until a circuit is found
         # through it, or until a node in its wait list (`waits`) is unblocked.
-        blocked = {anchor}
-        waits: dict[str, set[str]] = {n: set() for n in component}
-        path = [anchor]
-        closed = [False]  # closed[i]: a circuit was found below path[i]
-        iters = [iter(step[anchor])]
-        while iters:
-            for succ in iters[-1]:
-                if succ == anchor:
-                    circuits.append(path[:])
-                    closed[-1] = True
-                elif succ not in blocked:
-                    blocked.add(succ)
-                    path.append(succ)
-                    closed.append(False)
-                    iters.append(iter(step[succ]))
+        blocked = [False] * len(names)
+        waits: list[set[int]] = [set() for _ in names]
+        found = [False] * len(names)  # found[i]: a circuit through i since i was pushed
+        path = [0]  # the anchor is never popped, so path[-1] always exists
+        named = [anchor]  # path, as names
+        # untried: path[-1]'s successors not yet tried; frames[i]: path[i]'s
+        frames: list[Iterator[int]] = []
+        untried = iter(step[0])
+        push, push_name, push_frame = path.append, named.append, frames.append
+        while True:
+            for succ in untried:
+                if not blocked[succ]:
+                    blocked[succ] = True
+                    push(succ)
+                    push_name(names[succ])
+                    if closes[succ]:
+                        emit(named[:])
+                    found[succ] = closes[succ]
+                    push_frame(untried)
+                    untried = iter(step[succ])
                     break
             else:
-                iters.pop()
+                if not frames:
+                    break
+                untried = frames.pop()
+                named.pop()
                 node = path.pop()
-                found = closed.pop()
-                if found:
-                    release = [node]
-                    while release:
-                        freed = release.pop()
-                        if freed in blocked:
-                            blocked.discard(freed)
-                            release.extend(waits[freed])
-                            waits[freed].clear()
-                    if closed:
-                        closed[-1] = True
+                if found[node]:
+                    if waits[node]:
+                        release = [node]
+                        while release:
+                            freed = release.pop()
+                            if blocked[freed]:
+                                blocked[freed] = False
+                                release.extend(waits[freed])
+                                waits[freed].clear()
+                    else:  # nothing waits on node: the common case on dense graphs
+                        blocked[node] = False
+                    found[path[-1]] = True
                 else:
                     for succ in step[node]:
                         waits[succ].add(node)
-        rest = {n: [s for s in step[n] if s != anchor] for n in component if n != anchor}
-        pending.extend(c for c in _tarjan_sccs(rest) if len(c) > 1)
+        rest = {i: step[i] for i in range(1, len(names))}
+        pending.extend([names[i] for i in sorted(c)] for c in _tarjan_sccs(rest) if len(c) > 1)
 
     # Every loop starts at its anchor, so joining the anchors' lists in anchor
     # order and bucketing by length gives (length, nodes) order with no sort.

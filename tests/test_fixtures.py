@@ -158,6 +158,30 @@ def test_turn_with_an_unknown_key_is_refused():
         Transcript.from_dicts([dict(row, speaker=5)])
 
 
+@pytest.mark.parametrize("index", [0, 1, 3])
+def test_appended_turn_meets_the_constructor_index_rule(index):
+    transcript = make_transcript([("a", "one", "user"), ("b", "two", "assistant")])
+    turn = DialogueTurn(speaker="a", text="three", turn_role="user", index=index)
+    with pytest.raises(InvalidRequest) as built:
+        Transcript(turns=transcript.turns + (turn,))
+    with pytest.raises(InvalidRequest) as appended:
+        transcript.with_turn(turn)
+    assert str(appended.value) == str(built.value) == (
+        f"turn indices must be consecutive: 1 then {index}"
+    )
+
+
+def test_appended_turn_extends_the_transcript():
+    transcript = make_transcript([("a", "one", "user"), ("b", "two", "assistant")])
+    turn = DialogueTurn(speaker="a", text="three", turn_role="user", index=transcript.next_index)
+    extended = transcript.with_turn(turn)
+    assert extended == Transcript(turns=transcript.turns + (turn,))
+    assert extended.next_index == 3 and len(transcript) == 2
+    # an empty transcript takes any first index, as the constructor does
+    first = DialogueTurn(speaker="a", text="late start", turn_role="user", index=7)
+    assert Transcript().with_turn(first) == Transcript(turns=(first,))
+
+
 def test_malformed_line_names_path_and_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(b'{"speaker": "a", "text": "hi", "turn_role": "user"}\n\n{"speaker": \n')

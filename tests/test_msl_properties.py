@@ -113,11 +113,19 @@ def _ring(n: int):
     return make_graph(nodes, [(nodes[i], nodes[(i + 1) % n]) for i in range(n)])
 
 
+def _complete(n: int):
+    nodes = [f"k{i}" for i in range(n)]
+    return make_graph(nodes, [(a, b) for a in nodes for b in nodes if a != b])
+
+
 def test_loops_match_networkx_on_graphs_too_big_for_brute_force():
     nx = pytest.importorskip("networkx")
     rng = random.Random(20261018)
-    for _ in range(40):
-        nodes, pairs = _random_digraph(rng, rng.randint(9, 16), rng.uniform(0.08, 0.22))
+    sparse = [_random_digraph(rng, rng.randint(9, 16), rng.uniform(0.08, 0.22)) for _ in range(40)]
+    # Dense graphs, where almost every node the search pushes closes a loop:
+    # past the brute-force oracle's 16 edges.
+    dense = [_random_digraph(rng, rng.randint(6, 8), rng.uniform(0.5, 0.95)) for _ in range(20)]
+    for nodes, pairs in sparse + dense:
         oracle = nx.DiGraph()
         oracle.add_nodes_from(nodes)
         oracle.add_edges_from(pairs)
@@ -144,6 +152,20 @@ def test_ring_enumeration_scales_linearly():
             detect_closed_loops(graph)
             best[size] = min(best[size], time.perf_counter() - start)
     assert best[4_000] / best[500] < 24
+
+
+def test_dense_enumeration_scales_with_loops_found():
+    # A complete digraph's loops outnumber its edges: K6 has 409 and K8 has
+    # 16,064, so O((V+E)(C+1)) work makes the time per loop about flat.
+    small, large = _complete(6), _complete(8)
+    per_loop = {6: float("inf"), 8: float("inf")}
+    for _ in range(3):
+        for size, graph in ((6, small), (8, large)):
+            start = time.perf_counter()
+            loops = detect_closed_loops(graph)
+            per_loop[size] = min(per_loop[size], (time.perf_counter() - start) / len(loops))
+    assert len(detect_closed_loops(small)) == 409 and len(loops) == 16_064
+    assert per_loop[8] / per_loop[6] < 3
 
 
 def test_report_orders_loops_by_length_then_nodes():

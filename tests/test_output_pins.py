@@ -57,6 +57,19 @@ def _edge(source: str, target: str, index: int, label: str | None = None) -> dic
     return edge
 
 
+def _dense_graph() -> dict[str, object]:
+    """A complete digraph on seven labels listed out of code point order, with a
+    self-loop, a parallel edge and a second strongly connected component that
+    the first reaches one way: 2,368 loops, and almost every node the loop
+    search pushes closes one."""
+    dense = ["zed", "Ann", "é", "bo", "_k", "Ω", "cy"]
+    pairs = [(a, b) for a in dense for b in dense if a != b]
+    pairs += [("bo", "bo"), ("zed", "Ann"), ("cy", "mo")]
+    pairs += [("mo", "nu"), ("nu", "xi"), ("xi", "mo"), ("nu", "mo")]
+    return {"nodes": dense + ["nu", "mo", "xi"],
+            "edges": [_edge(a, b, i) for i, (a, b) in enumerate(pairs)]}
+
+
 # id -> graph document for `msa graph` and POST /analyze_graph
 GRAPHS = {
     "two-cycle": {"nodes": ["a", "b"], "edges": [_edge("a", "b", 0), _edge("b", "a", 1)]},
@@ -73,6 +86,7 @@ GRAPHS = {
             _edge("cy", "eve", 6),
         ],
     },
+    "dense": _dense_graph(),
 }
 
 # id -> (stdout of `msa graph`, stdout of `msa graph --closure`)
@@ -81,6 +95,8 @@ GRAPH = {
                   "ce835c6dfa88b4775a9ae993dfb9a7d2b0dfb55c23d80419569fa4d1edc9662a"),
     "mixed": ("faebff4b753ce301e7868b9c744d0bc987732f0267f06647fc2efc2db8f76188",
               "e508aa7cedfcf9ab504acfab0bbd8917e98130514d3051cd744405be09ea1aee"),
+    "dense": ("8e5607c233551da01666fb374a3c92ddb0281f8f389baac23725ac06e83b3ce3",
+              "e69d23c4108b464b35d97df86b5c6d28c2061f1c4cf3886f16d4c678adb57df4"),
 }
 
 GROUPS = ["--a", "1102,7.8,0.57", "--b", "373,6.4,0.24"]
