@@ -12,6 +12,11 @@ any other key is a validation error.
 
 Exit codes: 0 success, 2 validation error, 1 runtime error (among them an
 error whose http_status is 500 or more: an LLM backend that fails or times out).
+
+Each subcommand imports the engine modules it uses when it runs. Every call is
+a fresh process, and for most subcommands the imports cost more than the work,
+so a process loads only its own subcommand's modules: `msa parse` never loads
+the HTTP stack, the simulator or the bundled fixtures.
 """
 
 from __future__ import annotations
@@ -23,23 +28,8 @@ import os
 import sys
 from pathlib import Path
 
-from .dialogue.llm import client_from_name
 from .errors import InvalidRequest, MalformedJson, MsaError, RangeViolation
-from .fixtures import FIXTURE_CASES, load_fixture
-from .gcode.tags import (
-    SpeakerModuleConfig,
-    build_prompt_directives,
-    parse_tag_list,
-    speaker_module_from_obj,
-)
 from .jsonio import parse_json
-from .msl.graph import ResponsibilityGraph, transitive_closure
-from .scoring.report import ScoreCard, annotate_transcript, render_case_table, scorecard_json
-from .scoring.rubric import read_subscores
-from .scoring.stats import GroupStats, format_interval, mean_confidence_interval, two_sample_t
-from .dialogue.transcript import load_transcript_jsonl
-from .service import analyze_graph_report, serve
-from .simulate import load_task, run_simulation_to_file
 
 ENV_PREFIX = "MSA_"
 DEFAULTS = {
@@ -91,7 +81,9 @@ def _port(raw: str) -> int:
     return int(text)
 
 
-def _speaker_module_from_text(text: str) -> SpeakerModuleConfig:
+def _speaker_module_from_text(text: str):
+    from .gcode.tags import parse_tag_list, speaker_module_from_obj
+
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
         return speaker_module_from_obj(parse_json(stripped, ""))
@@ -107,18 +99,26 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    from .gcode.tags import build_prompt_directives
+
     config = _speaker_module_from_text(args.module)
     print(build_prompt_directives(config))
     return 0
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
+    from .dialogue.transcript import load_transcript_jsonl
+    from .scoring.report import annotate_transcript, scorecard_json
+
     card = annotate_transcript(load_transcript_jsonl(args.transcript))
     sys.stdout.write(scorecard_json(card))
     return 0
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    from .msl.graph import ResponsibilityGraph, transitive_closure
+    from .service import analyze_graph_report
+
     raw = parse_json(Path(args.graph).read_bytes(), args.graph)
     graph = ResponsibilityGraph.from_dict(raw)
     report = analyze_graph_report(graph)
@@ -129,6 +129,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_score_case(args: argparse.Namespace) -> int:
+    from .fixtures import FIXTURE_CASES, load_fixture
+    from .scoring.report import ScoreCard, render_case_table, scorecard_json
+    from .scoring.rubric import read_subscores
+
     path = Path(args.subscores)
     if not path.exists() and path.stem in FIXTURE_CASES:
         fixture = load_fixture(path.stem)
@@ -142,6 +146,8 @@ def _cmd_score_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .scoring.stats import GroupStats, format_interval, mean_confidence_interval, two_sample_t
+
     if args.reference_t is not None and not math.isfinite(args.reference_t):
         raise RangeViolation(f"--reference-t must be finite, got {args.reference_t}")
     group_a = GroupStats.parse(args.a)
@@ -163,6 +169,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .dialogue.llm import client_from_name
+    from .simulate import load_task, run_simulation_to_file
+
     config = _load_config_file(args.config)
     data_dir = resolve_setting("data_dir", args.data_dir, config)
     out_dir = resolve_setting("output_dir", args.out_dir, config)
@@ -190,6 +199,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .dialogue.llm import client_from_name
+    from .service import serve
+
     config = _load_config_file(args.config)
     host = resolve_setting("host", args.host, config)
     port = _port(resolve_setting("port", args.port, config))

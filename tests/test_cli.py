@@ -8,11 +8,13 @@ import select
 import socket
 import subprocess
 import sys
+import time
 import urllib.request
 
 import pytest
 
-import msa.cli
+import msa.msl.graph
+import msa.service
 from msa.cli import main
 
 RUN = [sys.executable, "-m", "msa.cli"]
@@ -86,6 +88,41 @@ def test_graph_subcommand(tmp_path):
     proc = run_cli("graph", str(path), "--closure")
     closure = json.loads(proc.stdout)["transitive_closure"]
     assert ["a", "a"] in closure
+
+
+def _ring(n: int) -> dict:
+    nodes = [f"s{i:04d}" for i in range(n)]
+    edges = [{"from": a, "to": b} for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    return {"nodes": nodes, "edges": edges}
+
+
+def test_graph_closure_past_the_pair_limit_exits_2_within_a_second(tmp_path, capsys):
+    # a 1,000-speaker ring (43 KB) has a million closure pairs
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(_ring(1000)))
+    started = time.perf_counter()
+    assert main(["graph", str(path), "--closure"]) == 2
+    assert time.perf_counter() - started < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[GraphTooLarge]" in err
+
+
+def test_graph_closure_at_the_pair_limit_is_printed_and_one_pair_more_is_refused(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(_ring(12)))  # 144 pairs
+    assert main(["graph", str(path), "--closure"]) == 0
+    unbounded = capsys.readouterr().out
+    monkeypatch.setattr(msa.msl.graph, "CLOSURE_PAIR_LIMIT", 144)
+    assert main(["graph", str(path), "--closure"]) == 0
+    assert capsys.readouterr().out == unbounded
+    monkeypatch.setattr(msa.msl.graph, "CLOSURE_PAIR_LIMIT", 143)
+    assert main(["graph", str(path), "--closure"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[GraphTooLarge]" in err
 
 
 def test_score_case_bundled_table():
@@ -248,7 +285,7 @@ def test_config_unknown_key_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_config_integer_port_is_read_as_its_decimal_text(monkeypatch, tmp_path):
     started = []
-    monkeypatch.setattr(msa.cli, "serve", lambda host, port, llm: started.append(port))
+    monkeypatch.setattr(msa.service, "serve", lambda host, port, llm: started.append(port))
     monkeypatch.delenv("MSA_PORT", raising=False)
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"port": 9000}))
@@ -364,7 +401,7 @@ def refuse_serve(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"serve started with {args}")
 
-    monkeypatch.setattr(msa.cli, "serve", refuse)
+    monkeypatch.setattr(msa.service, "serve", refuse)
     monkeypatch.delenv("MSA_PORT", raising=False)
 
 
@@ -394,7 +431,7 @@ def test_serve_bad_port_config_exits_2(refuse_serve, tmp_path, capsys, port):
 
 def test_serve_accepts_both_ends_of_the_port_range(monkeypatch):
     started = []
-    monkeypatch.setattr(msa.cli, "serve", lambda host, port, llm: started.append(port))
+    monkeypatch.setattr(msa.service, "serve", lambda host, port, llm: started.append(port))
     monkeypatch.delenv("MSA_PORT", raising=False)
     assert main(["serve", "--port", "0"]) == 0
     assert main(["serve", "--port", "65535"]) == 0

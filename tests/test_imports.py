@@ -131,3 +131,65 @@ def test_no_remote_client_import_until_a_remote_backend_is_used():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# What a subcommand that does not need it must never load. The in-process CLI tests
+# cannot catch a wrong lazy import, because other tests have already imported every module.
+SUBCOMMAND_MODULES = (
+    "msa.service",
+    "http.server",
+    "msa.simulate",
+    "msa.dialogue.pipeline",
+    "msa.scoring.stats",
+    "statistics",
+    "msa.fixtures",
+    "importlib.resources",
+)
+
+
+def test_importing_the_cli_loads_no_subcommand_module():
+    code = (
+        "import sys; before = set(sys.modules); import msa.cli; "
+        f"print(sorted(set({SUBCOMMAND_MODULES!r}) & (sys.modules.keys() - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+TRANSCRIPT_ROW = '{"speaker": "a", "text": "I will check it.", "turn_role": "user"}\n'
+
+# subcommand -> (arguments, exit code, modules it must not load)
+SUBCOMMANDS = {
+    "parse": (["parse", "#T_NEUTRAL"], 0, ("http.server", "msa.scoring.report")),
+    "compile": (["compile", "#T_NEUTRAL #E_TIGHT"], 0, ("http.server", "msa.scoring.report")),
+    "stats": (["stats", "--a", "10,1,1", "--b", "12,2,1"], 0, ("http.server", "msa.scoring.report")),
+    "annotate": (["annotate", "{dir}/t.jsonl"], 0, ("http.server", "msa.simulate")),
+    "score-case": (["score-case", "case1"], 0, ("http.server", "msa.simulate")),
+    "graph": (["graph", "{dir}/g.json"], 0, ("msa.simulate", "msa.fixtures", "statistics")),
+    "simulate": (
+        ["simulate", "{dir}/task.json", "--turns", "2", "--out-dir", "{dir}/out"],
+        0,
+        ("http.server", "msa.fixtures", "msa.scoring.stats"),
+    ),
+    # refused after its imports ran
+    "serve": (["serve", "--port", "abc"], 2, ("msa.simulate", "msa.fixtures", "statistics")),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, subcommand):
+    (tmp_path / "t.jsonl").write_text(TRANSCRIPT_ROW, encoding="utf-8")
+    (tmp_path / "g.json").write_text('{"nodes": ["a"], "edges": [{"from": "a", "to": "a"}]}')
+    (tmp_path / "task.json").write_text('{"a": {}, "b": {}, "task": "Plan it."}')
+    args, exit_code, never = SUBCOMMANDS[subcommand]
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in args]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "msa.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    # -X importtime writes "import time: <self> | <cumulative> | <module>" per first import
+    loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "msa.errors" in loaded
+    assert sorted(loaded & set(never)) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
 import re
 import socket
 import subprocess
@@ -18,6 +19,7 @@ from statistics import median
 import pytest
 
 from msa import errors
+from msa.cli import main
 from msa.dialogue.llm import StubLlmClient
 from msa.errors import LlmTimeout, LlmUnavailable
 from msa.jsonio import MAX_BODY_BYTES
@@ -349,6 +351,114 @@ def test_annotate_endpoint_matches_cli_byte_for_byte(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == service_bytes
+
+
+
+TEXTS = ("I will check the figures.", "You take the summary, then.", "Why that order?",
+         "We agreed on Friday.", "Maybe someone else should.", "Fine.")
+SPEAKERS = ("amy", "bo", "cy", "dee", "eve", "fay")
+
+
+def _transcript_rows(rng: random.Random) -> list[str]:
+    """The JSON text of one to five turns; about half the transcripts carry one fault."""
+    rows = [
+        {"speaker": rng.choice(SPEAKERS[:3]), "text": rng.choice(TEXTS),
+         "turn_role": rng.choice(("user", "assistant")), "index": i}
+        for i in range(rng.randint(1, 5))
+    ]
+    k = rng.randrange(len(rows))
+    fault = rng.choice(["none"] * 8 + ["turn-role", "empty-text", "index-gap", "unknown-key",
+                                       "function-role", "text-number", "not-object"])
+    if fault == "turn-role":
+        rows[k]["turn_role"] = "narrator"
+    elif fault == "empty-text":
+        rows[k]["text"] = ""
+    elif fault == "index-gap":
+        rows[k]["index"] += 2
+    elif fault == "unknown-key":
+        rows[k]["speakr"] = rows[k].pop("speaker")
+    elif fault == "function-role":
+        rows[k]["function_role"] = "oracle"
+    elif fault == "text-number":
+        rows[k]["text"] = 7
+    lines = [json.dumps(row) for row in rows]
+    if fault == "not-object":
+        lines[k] = json.dumps(list(rows[k].values()))
+    elif rng.random() < 0.1:  # refused by the JSON reader itself
+        lines[k] = lines[k][:-1] + ', "text": NaN}'
+    return lines
+
+
+def _graph_text(rng: random.Random) -> str:
+    """One graph document, about half of them with one fault."""
+    nodes = rng.sample(SPEAKERS, rng.randint(1, len(SPEAKERS)))
+    edges = [{"from": rng.choice(nodes), "to": rng.choice(nodes), "utterance_index": i}
+             for i in range(rng.randint(0, 9))]
+    doc = {"nodes": nodes, "edges": edges}
+    fault = rng.choice(["none"] * 8 + ["unknown-endpoint", "missing-to", "misspelt-key",
+                                       "bool-index", "empty-speaker", "number-label", "array-edge"])
+    if fault == "unknown-endpoint":
+        edges.append({"from": nodes[0], "to": "zed"})
+    elif fault == "missing-to":
+        edges.append({"from": nodes[0]})
+    elif fault == "misspelt-key":
+        doc["edgez"] = doc.pop("edges")
+    elif fault == "bool-index":
+        edges.append({"from": nodes[0], "to": nodes[0], "utterance_index": True})
+    elif fault == "empty-speaker":
+        nodes.append("")
+    elif fault == "number-label":
+        edges.append({"from": nodes[0], "to": nodes[0], "label": 3})
+    elif fault == "array-edge":
+        edges.append([nodes[0], nodes[0]])
+    text = json.dumps(doc)
+    if rng.random() < 0.1:  # refused by the JSON reader itself
+        text = text[:-1] + ', "nodes": []}'
+    return text
+
+
+def _post_raw(port: int, path: str, body: bytes) -> tuple[int, dict]:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("POST", path, body, {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def test_cli_and_service_give_one_outcome_for_each_transcript_and_graph(tmp_path, capsys):
+    # The service frames a transcript as {"turns": [...]} and takes a graph as its
+    # whole body; every input here is sent in the framing both surfaces accept.
+    rng = random.Random(20)
+    cases = []
+    for i in range(20):
+        lines = _transcript_rows(rng)
+        path = tmp_path / f"t{i}.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        body = '{"turns": [' + ", ".join(lines) + "]}"
+        cases.append(("annotate", path, "/annotate", body))
+    for i in range(20):
+        text = _graph_text(rng)
+        path = tmp_path / f"g{i}.json"
+        path.write_text(text, encoding="utf-8")
+        cases.append(("graph", path, "/analyze_graph", text))
+
+    outcomes = []
+    with running_server() as port:
+        for command, path, route, body in cases:
+            status, reply = _post_raw(port, route, body.encode("utf-8"))
+            code = main([command, str(path)])
+            out, err = capsys.readouterr()
+            if status == 200:
+                assert (code, json.loads(out)) == (0, reply), path.name
+            else:
+                assert code == (2 if status < 500 else 1), path.name
+                assert out == "", path.name
+                assert err.startswith(f"error [{reply['code']}]: "), (path.name, err)
+            outcomes.append((command, status == 200))
+    for command in ("annotate", "graph"):  # each surface saw both outcomes
+        assert 5 <= sum(ok for c, ok in outcomes if c == command) <= 15, outcomes
 
 
 def test_analyze_graph_endpoint():
