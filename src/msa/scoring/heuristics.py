@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from ..errors import EmptyContext
 from ..text import content_tokens
@@ -76,8 +76,8 @@ REPAIR_MARKERS = ("we're off", "off topic", "off-topic", "not quite what i",
                   "let me rephrase", "to clarify", "wait,")
 
 
-# One alternation per marker family, in _TurnFeatures flag order; every
-# marker matches as a literal substring of the lowered text.
+# One alternation per marker family, in the order auto_annotate unpacks its
+# matches; every marker matches as a literal substring of the lowered text.
 _MARKER_REGEXES = tuple(
     re.compile("|".join(map(re.escape, markers)))
     for markers in (CASUAL_MARKERS, BLUR_MARKERS, ATTRIBUTION_MARKERS, CONTINUITY_MARKERS,
@@ -93,135 +93,117 @@ CONFIDENCE = {
 }
 
 
-class _TurnFeatures(NamedTuple):
-    """Everything the sub-scores read from one turn."""
-
-    speaker: str
-    text: str
-    tokens: set[str]
-    short: bool  # fewer than three raw tokens
-    first_person: bool
-    casual: bool
-    blur: bool
-    attribution: bool
-    continuity: bool
-    transfer: bool
-    evasive: bool
-    mirror: bool
-    repair: bool
-
-
 def auto_annotate(transcript: "Transcript") -> SubScores:
     """Lexical sub-score estimate; CONFIDENCE says how far to trust each one.
 
     Advisory only. See the comments above each block for what each
-    sub-dimension actually measures here. Each turn is lowered, tokenized,
-    split and matched against every marker family once; the blocks read
-    those features only.
+    sub-dimension actually measures here. One pass lowers, tokenizes, splits
+    and matches every marker family once per turn, and keeps only running
+    counts, the previous turn and each speaker's content vocabulary, so its
+    memory grows with distinct content tokens, not with turns.
     """
     turns = transcript.turns
     if not turns:
         raise EmptyContext("annotation needs at least one turn")
     n = len(turns)
-    rows = []
+    marked = [0] * len(_MARKER_REGEXES)  # turns matching each marker family
+    flips = shifts = fragments = attributing = overlaps = echoes = 0
+    reuse_hits = reuse_total = 0
+    vocab_by_speaker: dict[str, set[str]] = {}
+    prev = None  # the previous turn's speaker, tokens, casual flag and inferred role
     for t in turns:
         text, lowered, words = t.text, t.text.lower(), t.text.split()
+        tokens = content_tokens(text)
+        role = classify_role(text)
+        short = len(words) < 3
         first_person = ("I" in words or text.startswith("I ") or " I'" in text
                         or text.startswith("I'"))
-        rows.append(_TurnFeatures(
-            t.speaker, text, content_tokens(text), len(words) < 3, first_person,
-            *[rx.search(lowered) is not None for rx in _MARKER_REGEXES]))
-    pairs = list(zip(rows, rows[1:]))
-    overlaps = [not a.tokens.isdisjoint(b.tokens) for a, b in pairs]
+        matches = [rx.search(lowered) is not None for rx in _MARKER_REGEXES]
+        marked = [count + match for count, match in zip(marked, matches)]
+        casual, blur, attribution, _, _, evasive, _, _ = matches
+        if prev is not None:
+            prev_speaker, prev_tokens, prev_casual, prev_role = prev
+            overlap = not prev_tokens.isdisjoint(tokens)
+            flips += prev_casual != casual
+            shifts += prev_role != role
+            overlaps += overlap
+            echoes += overlap and prev_speaker != t.speaker
+        prev = (t.speaker, tokens, casual, role)
+        fragments += short or text.rstrip()[-1:] not in (".", "?", "!", "…")
+        attributing += first_person or attribution
+        vocabulary = vocab_by_speaker.get(t.speaker)
+        if vocabulary is None:
+            vocab_by_speaker[t.speaker] = set(tokens)
+        else:
+            reuse_total += 1
+            reuse_hits += not tokens.isdisjoint(vocabulary)
+            vocabulary |= tokens
+    _, blur_turns, _, marker_r2, transfer_turns, evasive_turns, marker_c2, repair_turns = marked
 
     # P1: style flips between casual and sober adjacent turns
-    flips = sum(1 for a, b in pairs if a.casual != b.casual)
     p1 = 2 if flips == 0 else 1 if flips == 1 else 0
 
     # P2: stability of cue-inferred pragmatic roles
-    inferred = [classify_role(r.text) for r in rows]
     if n == 1:
         p2 = 2
     else:
-        shift_frac = sum(1 for a, b in zip(inferred, inferred[1:]) if a != b) / (n - 1)
+        shift_frac = shifts / (n - 1)
         p2 = 2 if shift_frac <= 1 / 3 else 1 if shift_frac <= 2 / 3 else 0
 
     # P3: fragment share; a fragment is under three raw tokens or lacks
     # terminal punctuation
-    fragments = sum(
-        1 for r in rows if r.short or r.text.rstrip()[-1:] not in (".", "?", "!", "…")
-    )
     frag_ratio = fragments / n
     p3 = 2 if fragments == 0 else 1 if frag_ratio <= 0.25 else 0
 
     # P4: register-blurring markers
-    blur_turns = sum(1 for r in rows if r.blur)
     p4 = 3 if blur_turns == 0 else 2 if blur_turns == 1 else 1 if blur_turns == 2 else 0
 
     # R1: first or second person attribution
-    attributing = sum(1 for r in rows if r.first_person or r.attribution)
     r1 = 2 if attributing >= 3 else 1 if attributing >= 1 else 0
 
     # R2: explicit continuity markers, or reuse of one's own earlier content
-    marker_r2 = sum(1 for r in rows if r.continuity)
     marker_score = 2 if marker_r2 >= 2 else 1 if marker_r2 == 1 else 0
-    reuse_hits = 0
-    reuse_total = 0
-    vocab_by_speaker: dict[str, set[str]] = {}
-    for r in rows:
-        if r.speaker in vocab_by_speaker:
-            reuse_total += 1
-            if not r.tokens.isdisjoint(vocab_by_speaker[r.speaker]):
-                reuse_hits += 1
-            vocab_by_speaker[r.speaker] |= r.tokens
-        else:
-            vocab_by_speaker[r.speaker] = set(r.tokens)
     reuse_frac = reuse_hits / reuse_total if reuse_total else 0.0
     reuse_score = 2 if reuse_frac >= 0.6 else 1 if reuse_frac >= 0.3 else 0
     r2 = max(marker_score, reuse_score)
 
     # R3: explicit handoff phrasing beats silence; repeated evasion scores zero
-    evasive_turns = sum(1 for r in rows if r.evasive)
-    if any(r.transfer for r in rows):
+    if transfer_turns:
         r3 = 2
     elif evasive_turns >= 2:
         r3 = 0
     else:
         r3 = 1
 
-    # R4: how the dialogue ends
-    final = rows[-1]
-    if final.short:
+    # R4: how the dialogue ends, read from the last turn's features, which
+    # the loop leaves bound
+    if short:
         r4 = 0
-    elif final.evasive or final.blur:
+    elif evasive or blur:
         r4 = 1
-    elif "?" in final.text:
+    elif "?" in text:
         r4 = 1
-    elif final.first_person:
+    elif first_person:
         r4 = 3
     else:
         r4 = 2
 
     # C1: adjacent-turn content overlap
-    if not pairs:
+    if n == 1:
         c1 = 2
         overlap_frac = 1.0
     else:
-        overlap_frac = sum(overlaps) / len(pairs)
+        overlap_frac = overlaps / (n - 1)
         c1 = 2 if overlap_frac >= 0.6 else 1 if overlap_frac >= 0.3 else 0
 
     # C2: mirroring markers or echo of the other side's previous turn
-    marker_c2 = sum(1 for r in rows if r.mirror)
     marker_score = 2 if marker_c2 >= 2 else 1 if marker_c2 == 1 else 0
-    echo_hits = sum(
-        1 for (a, b), overlap in zip(pairs, overlaps) if overlap and a.speaker != b.speaker
-    )
-    echo_frac = echo_hits / len(pairs) if pairs else 0.0
+    echo_frac = echoes / (n - 1) if n > 1 else 0.0
     echo_score = 2 if echo_frac >= 0.5 else 1 if echo_frac >= 0.25 else 0
     c2 = max(marker_score, echo_score)
 
     # C3: repair when drifting, quiet stability otherwise
-    if any(r.repair for r in rows):
+    if repair_turns:
         c3 = 2
     elif overlap_frac >= 0.3:
         c3 = 1

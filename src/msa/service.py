@@ -178,14 +178,12 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
                 if not isinstance(body, dict) or "turns" not in body:
                     raise InvalidRequest("request needs a 'turns' array")
                 turns = body["turns"]
-                if not isinstance(turns, list) or not turns:
-                    raise InvalidRequest("'turns' must be a non-empty array")
+                if not isinstance(turns, list):
+                    raise InvalidRequest("'turns' must be an array")
                 transcript = Transcript.from_dicts(turns)
                 card = annotate_transcript(transcript)
                 self._send(200, scorecard_json(card).encode("utf-8"))
             elif self.path == "/analyze_graph":
-                if not isinstance(body, dict):
-                    raise InvalidRequest("request body must be a JSON object")
                 graph = ResponsibilityGraph.from_dict(body)
                 self._send(200, analyze_graph_report(graph))
             else:

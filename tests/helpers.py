@@ -1,4 +1,4 @@
-"""Shared test helpers: brute-force oracles, small builders and a timer.
+"""Shared test helpers: brute-force oracles, small builders, a timer and a memory probe.
 
 The oracles here are deliberately naive. They enumerate candidate answers
 exhaustively and check each one against the raw edge set, so they share no
@@ -13,6 +13,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -52,6 +53,21 @@ def best_seconds(build, repeats: int = 5) -> float:
         finally:
             gc.enable()
     return best
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees Python allocate during ``fn()``.
+
+    Only allocations made after the call starts count, so objects the caller
+    built beforehand (say, a request body) are not part of the figure.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_force_loops(graph: ResponsibilityGraph) -> set[tuple[str, ...]]:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from msa.dialogue.transcript import Transcript
 from msa.errors import EmptyContext
 from msa.fixtures import load_fixture
+from msa.jsonio import parse_json
 from msa.scoring import heuristics
 from msa.scoring.heuristics import CONFIDENCE, auto_annotate, heuristic_score
-from helpers import make_transcript, reference_auto_annotate
+from msa.scoring.report import annotate_transcript, scorecard_json
+from helpers import make_transcript, reference_auto_annotate, traced_peak
 
 
 def dialog(*rows):
@@ -170,6 +174,15 @@ def test_annotate_matches_oracle_on_every_prefix(seed):
         rows = [(rng.choice(speakers), _random_turn(rng, alphabet), "user")
                 for _ in range(rng.randint(1, 10))]
         _assert_matches_oracle(rows)
+    # every turn short: under three raw tokens
+    words = [w for w in alphabet if len(w.split()) == 1]
+    rows = [(rng.choice("ab"), " ".join(rng.choices(words, k=rng.randint(1, 2))), "user")
+            for _ in range(10)]
+    _assert_matches_oracle(rows)
+    # a long transcript, compared whole
+    rows = [(rng.choice("abc"), _random_turn(rng, alphabet), "user")
+            for _ in range(rng.randint(200, 300))]
+    assert auto_annotate(dialog(*rows)) == reference_auto_annotate(dialog(*rows))
 
 
 def test_annotate_single_turn_matches_oracle():
@@ -199,3 +212,38 @@ def test_annotate_tokenizes_each_turn_once(monkeypatch, n_turns):
             for i in range(n_turns)]
     auto_annotate(dialog(*rows))
     assert len(calls) == n_turns
+
+
+# --- memory: annotation holds running counts, not rows per turn ---
+
+VOCABULARY = ("budget", "plan", "deadline", "review", "tomorrow", "owner", "scope",
+              "risk", "launch", "draft", "metric", "team", "quarter")
+
+
+def _turn_row(index, words_per_turn):
+    words = (VOCABULARY[(index + k) % len(VOCABULARY)] for k in range(words_per_turn))
+    return {"speaker": "ab"[index % 2], "text": " ".join(words), "turn_role": "user",
+            "index": index}
+
+
+@pytest.mark.parametrize("words_per_turn", [1, 4])
+def test_annotate_request_peaks_under_seven_times_its_body(words_per_turn):
+    # the service path of POST /annotate, from the body bytes to the reply text
+    row_bytes = len(json.dumps(_turn_row(10_000, words_per_turn))) + 2
+    rows = [_turn_row(i, words_per_turn) for i in range((1 << 20) // row_bytes)]
+    body = json.dumps({"turns": rows}).encode("utf-8")
+
+    def serve_one():
+        turns = parse_json(body, "")["turns"]
+        scorecard_json(annotate_transcript(Transcript.from_dicts(turns)))
+
+    peak = traced_peak(serve_one)
+    assert peak <= 7 * len(body), (peak / len(body), len(body))
+
+
+def test_annotate_transient_does_not_grow_with_turns():
+    small, large = (Transcript.from_dicts(_turn_row(i, 4) for i in range(n))
+                    for n in (2_000, 8_000))
+    small_peak = traced_peak(lambda: auto_annotate(small))
+    large_peak = traced_peak(lambda: auto_annotate(large))
+    assert large_peak <= 1.5 * small_peak, (small_peak, large_peak)

@@ -443,6 +443,11 @@ def test_cli_and_service_give_one_outcome_for_each_transcript_and_graph(tmp_path
         path = tmp_path / f"g{i}.json"
         path.write_text(text, encoding="utf-8")
         cases.append(("graph", path, "/analyze_graph", text))
+    # no turns, and a graph that is not an object: the engine refuses both
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    cases.append(("annotate", tmp_path / "empty.jsonl", "/annotate", '{"turns": []}'))
+    (tmp_path / "array.json").write_text("[]", encoding="utf-8")
+    cases.append(("graph", tmp_path / "array.json", "/analyze_graph", "[]"))
 
     outcomes = []
     with running_server() as port:
