@@ -84,7 +84,17 @@ DEFAULT_PATTERNS_TRANSFER = ("I'll leave that to",)
 
 def mentions_commitment(text: str) -> bool:
     """The commitment test shared by the chain fold and the heuristic triple."""
-    return any(pat in text for pat in DEFAULT_PATTERNS_COMMIT)
+    for pat in DEFAULT_PATTERNS_COMMIT:
+        if pat in text:
+            return True
+    return False
+
+
+def _mentions_transfer(text: str) -> bool:
+    for pat in DEFAULT_PATTERNS_TRANSFER:
+        if pat in text:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -132,27 +142,32 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
     previous distinct speaker (or retains it reflexively when there is none).
     Otherwise a commitment phrase adds one active commitment, de-duplicated by
     stripped text across the whole chain, at most one per turn.
+
+    A turn that changes no commitment shares ``state.commitments`` with the
+    new state; a transfer rebuilds the tuple around the moved commitment and
+    a new commitment is appended to a copy.
     """
     if turn.index <= state.last_index:
         return state
 
-    commitments = list(state.commitments)
+    commitments = state.commitments
 
-    if any(pat in turn.text for pat in DEFAULT_PATTERNS_TRANSFER):
+    if _mentions_transfer(turn.text):
         for pos in range(len(commitments) - 1, -1, -1):
             candidate = commitments[pos]
             if candidate.holder == turn.speaker and candidate.is_live:
                 target = state.last_speaker
                 if not target or target == turn.speaker:
                     target = turn.speaker
-                commitments[pos] = candidate.transition(
+                moved = candidate.transition(
                     CommitmentStatus.TRANSFERRED, turn.index, target=target
                 )
+                commitments = commitments[:pos] + (moved,) + commitments[pos + 1:]
                 break
     elif mentions_commitment(turn.text):
         key = turn.text.strip()
         if all(c.text != key for c in commitments):
-            commitments.append(
+            commitments += (
                 Commitment(
                     id=f"c{turn.index}",
                     holder=turn.speaker,
@@ -160,11 +175,11 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
                     status=CommitmentStatus.ACTIVE,
                     created_at=turn.index,
                     history=(StatusChange(status=CommitmentStatus.ACTIVE, turn_index=turn.index),),
-                )
+                ),
             )
 
     return ChainState(
-        commitments=tuple(commitments),
+        commitments=commitments,
         last_speaker=turn.speaker,
         last_index=turn.index,
     )

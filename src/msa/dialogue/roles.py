@@ -27,8 +27,9 @@ ROLE_CUES = (
 
 def classify_role(text: str) -> PragmaticRole:
     for phrases, role in ROLE_CUES:
-        if any(phrase in text for phrase in phrases):
-            return role
+        for phrase in phrases:
+            if phrase in text:
+                return role
     return PragmaticRole.INFORMATION_PROVIDER
 
 

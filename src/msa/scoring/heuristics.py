@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import TYPE_CHECKING
 
 from ..errors import EmptyContext
@@ -76,10 +77,11 @@ REPAIR_MARKERS = ("we're off", "off topic", "off-topic", "not quite what i",
                   "let me rephrase", "to clarify", "wait,")
 
 
-# One alternation per marker family, in the order auto_annotate unpacks its
-# matches; every marker matches as a literal substring of the lowered text.
-_MARKER_REGEXES = tuple(
-    re.compile("|".join(map(re.escape, markers)))
+# The search method of one alternation per marker family, in the order
+# auto_annotate unpacks its matches; every marker matches as a literal
+# substring of the lowered text.
+_MARKER_SEARCHES = tuple(
+    re.compile("|".join(map(re.escape, markers))).search
     for markers in (CASUAL_MARKERS, BLUR_MARKERS, ATTRIBUTION_MARKERS, CONTINUITY_MARKERS,
                     TRANSFER_MARKERS, EVASIVE_MARKERS, MIRROR_MARKERS, REPAIR_MARKERS)
 )
@@ -106,7 +108,7 @@ def auto_annotate(transcript: "Transcript") -> SubScores:
     if not turns:
         raise EmptyContext("annotation needs at least one turn")
     n = len(turns)
-    marked = [0] * len(_MARKER_REGEXES)  # turns matching each marker family
+    marked = [0] * len(_MARKER_SEARCHES)  # turns matching each marker family
     flips = shifts = fragments = attributing = overlaps = echoes = 0
     reuse_hits = reuse_total = 0
     vocab_by_speaker: dict[str, set[str]] = {}
@@ -118,8 +120,8 @@ def auto_annotate(transcript: "Transcript") -> SubScores:
         short = len(words) < 3
         first_person = ("I" in words or text.startswith("I ") or " I'" in text
                         or text.startswith("I'"))
-        matches = [rx.search(lowered) is not None for rx in _MARKER_REGEXES]
-        marked = [count + match for count, match in zip(marked, matches)]
+        matches = [search(lowered) is not None for search in _MARKER_SEARCHES]
+        marked = list(map(add, marked, matches))
         casual, blur, attribution, _, _, evasive, _, _ = matches
         if prev is not None:
             prev_speaker, prev_tokens, prev_casual, prev_role = prev

@@ -11,6 +11,7 @@ import gc
 import itertools
 import json
 import math
+import string
 import threading
 import time
 import tracemalloc
@@ -20,8 +21,8 @@ from contextlib import contextmanager
 
 from msa.dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
 from msa.dialogue.llm import StubLlmClient
-from msa.dialogue.roles import classify_role
-from msa.dialogue.transcript import DialogueTurn, Transcript
+from msa.dialogue.roles import ROLE_CUES
+from msa.dialogue.transcript import DialogueTurn, PragmaticRole, Transcript
 from msa.errors import EmptyContext
 from msa.msl.graph import ResponsibilityEdge, ResponsibilityGraph
 from msa.scoring.heuristics import (
@@ -36,7 +37,6 @@ from msa.scoring.heuristics import (
 )
 from msa.scoring.rubric import SubScores
 from msa.service import MsaHttpServer
-from msa.text import content_tokens
 
 
 def best_seconds(build, repeats: int = 5) -> float:
@@ -153,6 +153,22 @@ def reference_chain_edges(transcript: Transcript) -> ResponsibilityGraph:
     return ResponsibilityGraph(nodes=frozenset(nodes), edges=tuple(edges))
 
 
+_REFERENCE_PUNCT = str.maketrans("", "", string.punctuation)
+
+
+def reference_content_tokens(text: str) -> set[str]:
+    """Lowercase, strip ASCII punctuation, split on whitespace, keep tokens of 4+ characters."""
+    return {tok for tok in text.lower().translate(_REFERENCE_PUNCT).split() if len(tok) >= 4}
+
+
+def reference_classify_role(text: str) -> PragmaticRole:
+    """The role of the first ``ROLE_CUES`` row with a phrase in ``text``."""
+    for phrases, role in ROLE_CUES:
+        if any(phrase in text for phrase in phrases):
+            return role
+    return PragmaticRole.INFORMATION_PROVIDER
+
+
 def _has_any(text: str, markers: tuple[str, ...]) -> bool:
     lowered = text.lower()
     return any(marker in lowered for marker in markers)
@@ -166,7 +182,9 @@ def reference_auto_annotate(transcript: Transcript) -> SubScores:
     """The advisory annotator as first written: every block rescans every turn.
 
     Each sub-dimension re-lowers, re-tokenizes and re-matches the turns it
-    reads, so it shares no per-turn state with ``auto_annotate``.
+    reads, so it shares no per-turn state with ``auto_annotate``, and it
+    tokenizes and classifies through the references above, not the
+    production helpers.
     """
     turns = transcript.turns
     if not turns:
@@ -178,7 +196,7 @@ def reference_auto_annotate(transcript: Transcript) -> SubScores:
     flips = sum(1 for a, b in zip(styles, styles[1:]) if a != b)
     p1 = 2 if flips == 0 else 1 if flips == 1 else 0
 
-    inferred = [classify_role(t.text) for t in turns]
+    inferred = [reference_classify_role(t.text) for t in turns]
     if n == 1:
         p2 = 2
     else:
@@ -207,7 +225,7 @@ def reference_auto_annotate(transcript: Transcript) -> SubScores:
     reuse_total = 0
     seen_by_speaker: dict[str, set[str]] = {}
     for t in turns:
-        tokens = content_tokens(t.text)
+        tokens = reference_content_tokens(t.text)
         if t.speaker in seen_by_speaker:
             reuse_total += 1
             if tokens & seen_by_speaker[t.speaker]:
@@ -245,7 +263,9 @@ def reference_auto_annotate(transcript: Transcript) -> SubScores:
         overlap_frac = 1.0
     else:
         overlapping = sum(
-            1 for a, b in pairs if content_tokens(a.text) & content_tokens(b.text)
+            1
+            for a, b in pairs
+            if reference_content_tokens(a.text) & reference_content_tokens(b.text)
         )
         overlap_frac = overlapping / len(pairs)
         c1 = 2 if overlap_frac >= 0.6 else 1 if overlap_frac >= 0.3 else 0
@@ -255,7 +275,8 @@ def reference_auto_annotate(transcript: Transcript) -> SubScores:
     echo_hits = sum(
         1
         for a, b in pairs
-        if a.speaker != b.speaker and content_tokens(a.text) & content_tokens(b.text)
+        if a.speaker != b.speaker
+        and reference_content_tokens(a.text) & reference_content_tokens(b.text)
     )
     echo_frac = echo_hits / len(pairs) if pairs else 0.0
     echo_score = 2 if echo_frac >= 0.5 else 1 if echo_frac >= 0.25 else 0
@@ -270,7 +291,7 @@ def reference_auto_annotate(transcript: Transcript) -> SubScores:
 
     vocab_by_speaker: dict[str, set[str]] = {}
     for t in turns:
-        vocab_by_speaker.setdefault(t.speaker, set()).update(content_tokens(t.text))
+        vocab_by_speaker.setdefault(t.speaker, set()).update(reference_content_tokens(t.text))
     if len(vocab_by_speaker) < 2:
         c4 = 0
     else:

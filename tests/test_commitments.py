@@ -146,6 +146,24 @@ def test_transfer_with_no_live_commitment_is_a_noop():
     assert state.graph.edges == ()
 
 
+def test_turn_that_changes_no_commitment_shares_the_tuple():
+    # Start from a non-empty chain: an empty one would pass even if the fold
+    # copied, since every empty tuple is the same object.
+    state = update_commitments(ChainState(), turn(0, "a", "I will draft the doc."))
+    for i, (speaker, text) in enumerate(
+        [
+            ("b", "Sounds good."),  # no phrase at all
+            ("b", "I will draft the doc."),  # a commitment the chain already holds
+            ("b", "I'll leave that to you."),  # a transfer with no live commitment of b's
+        ],
+        start=1,
+    ):
+        after = update_commitments(state, turn(i, speaker, text))
+        assert after.commitments is state.commitments, text
+        assert (after.last_speaker, after.last_index) == (speaker, i)
+        state = after
+
+
 _SWEEP_TEXTS = (
     "I will draft the {}.",
     "We should check the {}.",

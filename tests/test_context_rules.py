@@ -52,6 +52,34 @@ def test_exact_evaluation_count_n_times_m(monkeypatch):
     assert len(calls) == 7 * 3
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="max-new-token-ratio re-tokenizes every turn in its window for every turn; "
+    "ROADMAP item 13, context rules independent of the window, tokenizes each turn once",
+)
+def test_tokenize_calls_per_turn_are_flat_across_windows(monkeypatch):
+    # ROADMAP item 5's sweep over the context-rule window, as a work counter.
+    calls = 0
+    tokenize = msa.msl.rules.tokenize
+
+    def counting(text):
+        nonlocal calls
+        calls += 1
+        return tokenize(text)
+
+    monkeypatch.setattr(msa.msl.rules, "tokenize", counting)
+    turns = 300
+    transcript = texts(*[f"turn {i} keeps the budget review going" for i in range(turns)])
+    per_turn = {}
+    for window in (4, 256):
+        calls = 0
+        rule = ContextRule("r-new", predicate="max-new-token-ratio", arg=0.9, window=window)
+        check_context_constraints(transcript, [rule])
+        per_turn[window] = calls / turns
+    assert per_turn[256] <= 3 * per_turn[4], f"tokenize calls per turn: {per_turn}"
+
+
 def test_findings_ordered_by_turn_then_rule_position():
     both_fail = texts("nothing here", "lawyer, no b-word")
     findings = check_context_constraints(both_fail, [PRESENT, ABSENT])

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import json
 import random
+import string
+import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from msa.dialogue.commitments import (
+    DEFAULT_PATTERNS_COMMIT,
+    DEFAULT_PATTERNS_TRANSFER,
+    mentions_commitment,
+)
+from msa.dialogue.roles import ROLE_CUES, classify_role
 from msa.dialogue.transcript import Transcript
 from msa.errors import EmptyContext
 from msa.fixtures import load_fixture
@@ -14,7 +24,14 @@ from msa.jsonio import parse_json
 from msa.scoring import heuristics
 from msa.scoring.heuristics import CONFIDENCE, auto_annotate, heuristic_score
 from msa.scoring.report import annotate_transcript, scorecard_json
-from helpers import make_transcript, reference_auto_annotate, traced_peak
+from msa.text import content_tokens
+from helpers import (
+    make_transcript,
+    reference_auto_annotate,
+    reference_classify_role,
+    reference_content_tokens,
+    traced_peak,
+)
 
 
 def dialog(*rows):
@@ -196,6 +213,33 @@ def test_annotate_single_speaker_matches_oracle():
             ("a", "over to you", "user")]
     _assert_matches_oracle(rows)
     assert auto_annotate(dialog(*rows)).context[3] == 0
+
+
+# --- per-turn primitives against their references ---
+
+# Texts built from these atoms cross every rule the primitives implement:
+# all 29 code points str.split() splits on, lowercasings that change length
+# ("İ"), leave a letter alone ("ß") or depend on the next character ("Σ"),
+# and every cue phrase.
+PRIMITIVE_ATOMS = (
+    tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+    + tuple(string.punctuation)
+    + ("İ", "ß", "Σ")
+    + tuple(string.digits)
+    + tuple(string.ascii_letters)
+    + tuple(phrase for phrases, _ in ROLE_CUES for phrase in phrases)
+    + DEFAULT_PATTERNS_COMMIT
+    + DEFAULT_PATTERNS_TRANSFER
+)
+
+
+@seed(20260)
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(PRIMITIVE_ATOMS), max_size=40).map("".join))
+def test_per_turn_primitives_match_their_references(text):
+    assert content_tokens(text) == reference_content_tokens(text)
+    assert classify_role(text) is reference_classify_role(text)
+    assert mentions_commitment(text) == any(pat in text for pat in DEFAULT_PATTERNS_COMMIT)
 
 
 @pytest.mark.parametrize("n_turns", [6, 600])

@@ -182,6 +182,21 @@ def test_long_stub_simulation_grows_linearly():
     assert len(transcript.turns) == 201
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the stub echoes the whole last turn, so each stub turn is about 180 chars "
+    "longer than the one before; ROADMAP item 12, a stub run linear in --turns, bounds it",
+)
+def test_stub_turn_length_is_flat_as_the_transcript_grows():
+    # ROADMAP item 5's sweep over simulate --turns, on the stub's echo length.
+    # Untagged speakers keep the directives, and so the 200-turn run, short.
+    task = MultiSpeakerTask.from_obj({"speaker_A": {}, "speaker_B": {}, "task": "Debate exams."})
+    last = {turns: len(simulate(task, STUB, turns=turns, seed=0).turns[-1].text)
+            for turns in (50, 200)}
+    assert last[200] <= 1.5 * last[50], f"last stub turn in chars: {last}"
+
+
 class _Scripted:
     """Client that plays back fixed replies in order."""
 
@@ -217,7 +232,7 @@ class _Committing:
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="every reply replays the whole context and copies the commitments; "
+    reason="every reply replays the whole context; "
     "ROADMAP item 3, the reply-only pipeline, makes the per-reply cost flat",
 )
 def test_per_reply_cost_is_flat_as_the_transcript_grows():
