@@ -15,6 +15,7 @@ nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -203,19 +204,28 @@ def flag_silent_abandonment(state: ChainState, transcript: "Transcript") -> list
     (``_SILENT_TURNS``) later turns and none of them references it. Reference
     detection is lexical: sharing a normalized token of four or more characters
     with the commitment text. Reporting only; the state is never mutated.
+
+    One pass records each speaker's turn indices and the last index at which
+    they used each content token, so a commitment costs one bisection and one
+    lookup per token of its text.
     """
+    indices: dict[str, list[int]] = {}
+    last_use: dict[tuple[str, str], int] = {}
+    for turn in transcript.turns:
+        indices.setdefault(turn.speaker, []).append(turn.index)
+        for token in content_tokens(turn.text):
+            last_use[turn.speaker, token] = turn.index
     flagged = []
     for commitment in state.commitments:
         if not commitment.is_live:
             continue
-        anchor = content_tokens(commitment.text)
-        later = [
-            turn
-            for turn in transcript.turns
-            if turn.speaker == commitment.holder and turn.index > commitment.created_at
-        ]
-        if len(later) < _SILENT_TURNS:
+        holder, since = commitment.holder, commitment.created_at
+        held = indices.get(holder, [])
+        if len(held) - bisect_right(held, since) < _SILENT_TURNS:
             continue
-        if not any(anchor & content_tokens(turn.text) for turn in later):
+        if not any(
+            last_use.get((holder, token), since) > since
+            for token in content_tokens(commitment.text)
+        ):
             flagged.append(commitment.id)
     return flagged

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..text import tokenize
+from ..text import excerpt, tokenize
 
 DEFAULT_DRIFT_THRESHOLD = 0.2
 
@@ -24,20 +24,14 @@ class DriftReport:
     realignment: str | None
 
 
-REALIGNMENT_EXCERPT_CHARS = 120
-
-
 def generate_realignment(last_user_text: str) -> str:
     """Directive suffix asking the counterpart to re-anchor before replying.
 
-    Utterances longer than ``REALIGNMENT_EXCERPT_CHARS`` are quoted by their
-    first ``REALIGNMENT_EXCERPT_CHARS`` characters plus ``...``, so a reply
-    that echoes its directives cannot double in length every turn.
+    The utterance is quoted through ``excerpt`` (at most 120 characters plus
+    ``...``), so a reply that echoes its directives cannot double in length
+    every turn.
     """
-    excerpt = last_user_text
-    if len(excerpt) > REALIGNMENT_EXCERPT_CHARS:
-        excerpt = excerpt[:REALIGNMENT_EXCERPT_CHARS] + "..."
-    return f"(please confirm first: '{excerpt}')"
+    return f"(please confirm first: '{excerpt(last_user_text)}')"
 
 
 def detect_drift(prev_text: str, curr_text: str, *, turn_index: int) -> DriftReport | None:

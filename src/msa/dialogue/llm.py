@@ -24,6 +24,7 @@ from typing import Protocol, TYPE_CHECKING
 
 from ..errors import InvalidRequest, LlmTimeout, LlmUnavailable, MalformedJson
 from ..jsonio import MAX_BODY_BYTES, parse_json
+from ..text import excerpt
 
 if TYPE_CHECKING:
     from .transcript import Transcript
@@ -39,10 +40,13 @@ class LlmClient(Protocol):
 
 @dataclass(frozen=True)
 class StubLlmClient:
-    """Deterministic echo client; same inputs give byte-identical output."""
+    """Deterministic echo client; same inputs give byte-identical output.
+
+    The reply quotes the last turn through ``excerpt``, so its length is bounded.
+    """
 
     def generate(self, directives: str, context: "Transcript") -> str:
-        last = context.turns[-1].text if context.turns else ""
+        last = excerpt(context.turns[-1].text) if context.turns else ""
         return f"<ECHO directives='{directives}' last='{last}'>"
 
 

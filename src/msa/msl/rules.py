@@ -17,6 +17,7 @@ Predicate semantics (a finding marks an utterance that violates the rule):
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -72,46 +73,63 @@ class RuleFinding:
     severity: str
 
 
-def _window_texts(transcript: "Transcript", i: int, window: int) -> list[str]:
-    lo = max(0, i - window)
-    return [turn.text for turn in transcript.turns[lo:i]]
+def _holds(
+    rule: ContextRule,
+    i: int,
+    lowered: str,
+    tokens: set[str],
+    last_token: dict[str, int],
+    last_anchor: dict[str, int],
+) -> bool:
+    """Does utterance ``i`` keep ``rule``?
 
-
-def _holds(rule: ContextRule, transcript: "Transcript", i: int) -> bool:
-    text = transcript.turns[i].text
+    ``last_token`` and ``last_anchor`` map each token and topic anchor to the
+    last earlier utterance that held it, so a window test is one lookup; never
+    seen is ``-inf``, outside every window.
+    """
     if rule.predicate == "keyword-presence":
-        return str(rule.arg).lower() in text.lower()
+        return str(rule.arg).lower() in lowered
     if rule.predicate == "keyword-absence":
-        return str(rule.arg).lower() not in text.lower()
+        return str(rule.arg).lower() not in lowered
+    oldest = i - rule.window
     if rule.predicate == "max-new-token-ratio":
-        if i == 0:
+        if i == 0 or not tokens:
             return True
-        tokens = set(tokenize(text))
-        if not tokens:
-            return True
-        prior: set[str] = set()
-        for prev in _window_texts(transcript, i, rule.window):
-            prior.update(tokenize(prev))
-        new_ratio = len(tokens - prior) / len(tokens)
-        return new_ratio <= float(rule.arg)
+        new = sum(1 for token in tokens if last_token.get(token, -math.inf) < oldest)
+        return new / len(tokens) <= float(rule.arg)
     # topic-anchor-presence
     needle = str(rule.arg).lower()
-    if needle in text.lower():
-        return True
-    return any(needle in prev.lower() for prev in _window_texts(transcript, i, rule.window))
+    return needle in lowered or last_anchor.get(needle, -math.inf) >= oldest
 
 
 def check_context_constraints(
     transcript: "Transcript", rules: Sequence[ContextRule]
 ) -> list[RuleFinding]:
-    """Evaluate every rule against every utterance, exactly once each."""
+    """Evaluate every rule against every utterance, exactly once each.
+
+    One pass, whatever the windows: each text is lowercased once and, when some
+    rule is ``max-new-token-ratio``, tokenized once. Tokens and anchors get
+    separate last-seen maps, since an anchor is a substring test (``bud-get``
+    tokenizes to ``budget`` but does not contain it).
+    """
+    anchors = {str(r.arg).lower() for r in rules if r.predicate == "topic-anchor-presence"}
+    counts_tokens = any(r.predicate == "max-new-token-ratio" for r in rules)
+    last_token: dict[str, int] = {}
+    last_anchor: dict[str, int] = {}
     findings: list[RuleFinding] = []
-    for i in range(len(transcript.turns)):
+    for i, turn in enumerate(transcript.turns):
+        lowered = turn.text.lower()
+        tokens = set(tokenize(turn.text)) if counts_tokens else set()
         for rule in rules:
-            if not _holds(rule, transcript, i):
+            if not _holds(rule, i, lowered, tokens, last_token, last_anchor):
                 findings.append(
                     RuleFinding(rule_id=rule.rule_id, utterance_index=i, severity=rule.severity)
                 )
+        for token in tokens:
+            last_token[token] = i
+        for anchor in anchors:
+            if anchor in lowered:
+                last_anchor[anchor] = i
     return findings
 
 

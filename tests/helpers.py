@@ -1,4 +1,4 @@
-"""Shared test helpers: brute-force oracles, small builders, a timer and a memory probe.
+"""Shared test helpers: brute-force oracles, small builders, a timer, a memory probe and a call counter.
 
 The oracles here are deliberately naive. They enumerate candidate answers
 exhaustively and check each one against the raw edge set, so they share no
@@ -19,12 +19,17 @@ import urllib.error
 import urllib.request
 from contextlib import contextmanager
 
-from msa.dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
+from msa.dialogue.commitments import (
+    DEFAULT_PATTERNS_COMMIT,
+    DEFAULT_PATTERNS_TRANSFER,
+    ChainState,
+)
 from msa.dialogue.llm import StubLlmClient
 from msa.dialogue.roles import ROLE_CUES
 from msa.dialogue.transcript import DialogueTurn, PragmaticRole, Transcript
 from msa.errors import EmptyContext
 from msa.msl.graph import ResponsibilityEdge, ResponsibilityGraph
+from msa.msl.rules import ContextRule, RuleFinding
 from msa.scoring.heuristics import (
     ATTRIBUTION_MARKERS,
     BLUR_MARKERS,
@@ -37,6 +42,7 @@ from msa.scoring.heuristics import (
 )
 from msa.scoring.rubric import SubScores
 from msa.service import MsaHttpServer
+from msa.text import content_tokens, tokenize
 
 
 def best_seconds(build, repeats: int = 5) -> float:
@@ -53,6 +59,19 @@ def best_seconds(build, repeats: int = 5) -> float:
         finally:
             gc.enable()
     return best
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Wrap ``owner.name`` for the test; the returned list fills with each call's arguments."""
+    calls: list[tuple] = []
+    wrapped = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def traced_peak(fn) -> int:
@@ -151,6 +170,72 @@ def reference_chain_edges(transcript: Transcript) -> ResponsibilityGraph:
                 )
         last_speaker, last_index = turn.speaker, turn.index
     return ResponsibilityGraph(nodes=frozenset(nodes), edges=tuple(edges))
+
+
+def _reference_window_texts(transcript: Transcript, i: int, window: int) -> list[str]:
+    lo = max(0, i - window)
+    return [turn.text for turn in transcript.turns[lo:i]]
+
+
+def _reference_holds(rule: ContextRule, transcript: Transcript, i: int) -> bool:
+    text = transcript.turns[i].text
+    if rule.predicate == "keyword-presence":
+        return str(rule.arg).lower() in text.lower()
+    if rule.predicate == "keyword-absence":
+        return str(rule.arg).lower() not in text.lower()
+    if rule.predicate == "max-new-token-ratio":
+        if i == 0:
+            return True
+        tokens = set(tokenize(text))
+        if not tokens:
+            return True
+        prior: set[str] = set()
+        for prev in _reference_window_texts(transcript, i, rule.window):
+            prior.update(tokenize(prev))
+        new_ratio = len(tokens - prior) / len(tokens)
+        return new_ratio <= float(rule.arg)
+    # topic-anchor-presence
+    needle = str(rule.arg).lower()
+    if needle in text.lower():
+        return True
+    return any(
+        needle in prev.lower() for prev in _reference_window_texts(transcript, i, rule.window)
+    )
+
+
+def reference_context_findings(transcript: Transcript, rules: list[ContextRule]) -> list[RuleFinding]:
+    """Context rules as first written: each utterance rebuilds and rescans its window."""
+    findings: list[RuleFinding] = []
+    for i in range(len(transcript.turns)):
+        for rule in rules:
+            if not _reference_holds(rule, transcript, i):
+                findings.append(
+                    RuleFinding(rule_id=rule.rule_id, utterance_index=i, severity=rule.severity)
+                )
+    return findings
+
+
+# later turns by a commitment's holder that must all skip it before it is flagged
+_REFERENCE_SILENT_TURNS = 5
+
+
+def reference_silent_abandonment(state: ChainState, transcript: Transcript) -> list[str]:
+    """The silent-abandonment report as first written: each live commitment rescans the transcript."""
+    flagged = []
+    for commitment in state.commitments:
+        if not commitment.is_live:
+            continue
+        anchor = content_tokens(commitment.text)
+        later = [
+            turn
+            for turn in transcript.turns
+            if turn.speaker == commitment.holder and turn.index > commitment.created_at
+        ]
+        if len(later) < _REFERENCE_SILENT_TURNS:
+            continue
+        if not any(anchor & content_tokens(turn.text) for turn in later):
+            flagged.append(commitment.id)
+    return flagged
 
 
 _REFERENCE_PUNCT = str.maketrans("", "", string.punctuation)

@@ -32,6 +32,7 @@ from helpers import (
     best_seconds,
     brute_force_drift,
     brute_force_loops,
+    count_calls,
     in_report_order,
     make_graph,
     make_transcript,
@@ -156,14 +157,7 @@ def test_criterion_4_complexity_contracts(monkeypatch):
         ContextRule("k3", predicate="max-new-token-ratio", arg=0.9),
         ContextRule("k4", predicate="topic-anchor-presence", arg="number"),
     ]
-    calls = []
-    holds = msa.msl.rules._holds
-
-    def counting(*args):
-        calls.append(args)
-        return holds(*args)
-
-    monkeypatch.setattr(msa.msl.rules, "_holds", counting)
+    calls = count_calls(monkeypatch, msa.msl.rules, "_holds")
     check_context_constraints(transcript, rules)
     exact = len(calls) == 23 * 4
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import msa.dialogue.commitments
 from msa.dialogue.commitments import (
     ChainState,
     Commitment,
@@ -16,9 +17,15 @@ from msa.dialogue.commitments import (
     replay,
     update_commitments,
 )
-from msa.dialogue.transcript import DialogueTurn
+from msa.dialogue.transcript import DialogueTurn, Transcript
 from msa.errors import InvalidTransition
-from helpers import make_transcript, reference_chain_edges
+from helpers import (
+    best_seconds,
+    count_calls,
+    make_transcript,
+    reference_chain_edges,
+    reference_silent_abandonment,
+)
 
 
 def turn(i, speaker, text, role="user"):
@@ -264,3 +271,68 @@ def test_report_does_not_mutate_state():
     state = replay(transcript)
     flag_silent_abandonment(state, transcript)
     assert state.commitments[0].status is CommitmentStatus.ACTIVE
+
+
+_REPORT_TEXTS = (
+    "I will update the {}.",
+    "We should review the {} today.",
+    "I'll leave that to you.",
+    "ok, sure",
+    "yes and no",
+    "the {} again",
+    "Moving on.",
+)
+
+
+def test_report_matches_the_rescan_reference():
+    """Seeded transcripts, states replayed from the whole or a prefix, indices from any start."""
+    flagged = 0
+    rng = random.Random(20261021)
+    for _ in range(1_200):
+        speakers = ["a", "b", "c"][: rng.randint(1, 3)]
+        start = rng.choice((0, 0, 1, 7, 500))
+        transcript = Transcript(
+            turns=tuple(
+                DialogueTurn(
+                    speaker=rng.choice(speakers),
+                    text=rng.choice(_REPORT_TEXTS).format(rng.choice(("plan", "doc", "roadmap"))),
+                    turn_role="user",
+                    index=start + i,
+                )
+                for i in range(rng.randint(1, 30))
+            )
+        )
+        state = replay(Transcript(turns=transcript.turns[: rng.randint(0, len(transcript))]))
+        got = flag_silent_abandonment(state, transcript)
+        assert got == reference_silent_abandonment(state, transcript)
+        flagged += bool(got)
+    assert flagged > 100  # the sweep reaches the flagging branch, not only the quiet one
+
+
+def _committing_transcript(n: int) -> Transcript:
+    """Two speakers who each open a distinct live commitment on every turn."""
+    return make_transcript(
+        [("ab"[i % 2], f"I will draft part {i} of the plan.", "user") for i in range(n)]
+    )
+
+
+def test_report_tokenizes_each_turn_once(monkeypatch):
+    calls = count_calls(monkeypatch, msa.dialogue.commitments, "content_tokens")
+    per_turn = {}
+    for n in (500, 4_000):
+        transcript = _committing_transcript(n)
+        state = replay(transcript)
+        calls.clear()
+        flag_silent_abandonment(state, transcript)
+        per_turn[n] = len(calls) / n
+    # one call per turn, plus at most one per live commitment's text
+    assert all(1 < calls <= 2 for calls in per_turn.values()), f"calls per turn: {per_turn}"
+
+
+def test_report_time_per_turn_is_flat():
+    per_turn = {}
+    for n in (1_000, 8_000):
+        transcript = _committing_transcript(n)
+        state = replay(transcript)
+        per_turn[n] = best_seconds(lambda: flag_silent_abandonment(state, transcript), 3) / n
+    assert per_turn[8_000] <= 3 * per_turn[1_000], f"seconds per turn: {per_turn}"

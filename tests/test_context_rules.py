@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import msa.msl.rules
 from msa.errors import MalformedJson
@@ -16,7 +19,7 @@ from msa.msl.rules import (
     check_context_constraints,
     load_context_rules,
 )
-from helpers import make_transcript
+from helpers import best_seconds, count_calls, make_transcript, reference_context_findings
 
 PRESENT = ContextRule("r-budget", predicate="keyword-presence", arg="budget", severity="warn")
 ABSENT = ContextRule("r-lawyer", predicate="keyword-absence", arg="lawyer", severity="violation")
@@ -40,44 +43,84 @@ def test_keyword_absence_flags_occurrence():
 def test_exact_evaluation_count_n_times_m(monkeypatch):
     transcript = texts(*[f"turn {i} budget" for i in range(7)])
     rules = [PRESENT, ABSENT, ContextRule("r-new", predicate="max-new-token-ratio", arg=0.9)]
-    calls = []
-    holds = msa.msl.rules._holds
-
-    def counting(*args):
-        calls.append(args)
-        return holds(*args)
-
-    monkeypatch.setattr(msa.msl.rules, "_holds", counting)
+    calls = count_calls(monkeypatch, msa.msl.rules, "_holds")
     check_context_constraints(transcript, rules)
     assert len(calls) == 7 * 3
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="max-new-token-ratio re-tokenizes every turn in its window for every turn; "
-    "ROADMAP item 13, context rules independent of the window, tokenizes each turn once",
-)
 def test_tokenize_calls_per_turn_are_flat_across_windows(monkeypatch):
     # ROADMAP item 5's sweep over the context-rule window, as a work counter.
-    calls = 0
-    tokenize = msa.msl.rules.tokenize
-
-    def counting(text):
-        nonlocal calls
-        calls += 1
-        return tokenize(text)
-
-    monkeypatch.setattr(msa.msl.rules, "tokenize", counting)
+    calls = count_calls(monkeypatch, msa.msl.rules, "tokenize")
     turns = 300
     transcript = texts(*[f"turn {i} keeps the budget review going" for i in range(turns)])
     per_turn = {}
     for window in (4, 256):
-        calls = 0
+        calls.clear()
         rule = ContextRule("r-new", predicate="max-new-token-ratio", arg=0.9, window=window)
         check_context_constraints(transcript, [rule])
-        per_turn[window] = calls / turns
+        per_turn[window] = len(calls) / turns
     assert per_turn[256] <= 3 * per_turn[4], f"tokenize calls per turn: {per_turn}"
+    assert per_turn == {4: 1.0, 256: 1.0}  # each turn once, whatever the window
+
+
+def test_keyword_and_anchor_rules_tokenize_nothing(monkeypatch):
+    calls = count_calls(monkeypatch, msa.msl.rules, "tokenize")
+    anchor = ContextRule("a", predicate="topic-anchor-presence", arg="budget")
+    check_context_constraints(texts("the budget", "next", "more"), [PRESENT, ABSENT, anchor])
+    assert calls == []
+
+
+def test_time_is_independent_of_the_window():
+    # 2,000 turns that share a little vocabulary, against one rule of each windowed kind
+    rng = random.Random(13)
+    words = [f"w{k}" for k in range(400)]
+    transcript = texts(*[" ".join(rng.choices(words, k=8)) for _ in range(2_000)])
+
+    def rules(window):
+        return [
+            ContextRule("n", predicate="max-new-token-ratio", arg=0.5, window=window),
+            ContextRule("a", predicate="topic-anchor-presence", arg="w7", window=window),
+        ]
+
+    seconds = {
+        window: best_seconds(lambda: check_context_constraints(transcript, rules(window)), 3)
+        for window in (4, 2_000)
+    }
+    assert seconds[2_000] <= 3 * seconds[4], f"seconds by window: {seconds}"
+
+
+# Case, punctuation, multi-word and punctuated anchors, and tokenless turns ("...", "?!")
+RULE_WORDS = ["budget", "Budget", "bud-get", "plan", "plan.", "the", "owner", "risk", "...", "?!"]
+ANCHORS = ["budget", "bud-get", "the plan", "plan.", "owner risk", "risk", "?", "zzz"]
+
+
+@st.composite
+def rule_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=25))
+    turns = [
+        " ".join(draw(st.lists(st.sampled_from(RULE_WORDS), min_size=1, max_size=6)))
+        for _ in range(n)
+    ]
+    rules = []
+    for k in range(draw(st.integers(min_value=1, max_value=5))):
+        predicate = draw(st.sampled_from(msa.msl.rules.PREDICATES))
+        if predicate == "max-new-token-ratio":
+            arg = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+        else:
+            arg = draw(st.sampled_from(ANCHORS))
+        window = draw(st.integers(min_value=1, max_value=n + 5))
+        rules.append(ContextRule(f"r{k}", predicate=predicate, arg=arg, window=window))
+    return texts(*turns), rules
+
+
+@seed(20261021)
+@settings(max_examples=400, deadline=None)
+@given(rule_cases())
+def test_findings_match_the_window_rescan_reference(case):
+    transcript, rules = case
+    assert check_context_constraints(transcript, rules) == reference_context_findings(
+        transcript, rules
+    )
 
 
 def test_findings_ordered_by_turn_then_rule_position():

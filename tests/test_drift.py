@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from msa.dialogue.drift import (
-    DEFAULT_DRIFT_THRESHOLD,
-    REALIGNMENT_EXCERPT_CHARS,
-    detect_drift,
-    generate_realignment,
-)
+from msa.dialogue.drift import DEFAULT_DRIFT_THRESHOLD, detect_drift, generate_realignment
 
 WORDS = st.lists(
     st.text(alphabet="abcdefg", min_size=1, max_size=5), min_size=1, max_size=12
@@ -68,7 +63,7 @@ def test_realignment_quotes_text_verbatim():
 
 
 def test_realignment_quotes_a_bounded_excerpt():
-    edge = "x" * REALIGNMENT_EXCERPT_CHARS
+    edge = "x" * 120  # the excerpt's documented length
     assert generate_realignment(edge) == f"(please confirm first: '{edge}')"
     assert generate_realignment(edge + "yz") == f"(please confirm first: '{edge}...')"
 

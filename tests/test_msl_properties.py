@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msa.msl.cycles import detect_closed_loops
-from msa.msl.graph import detect_partial_drift
+from msa.msl.cycles import cyclic_components, detect_closed_loops
+from msa.msl.graph import detect_partial_drift, transitive_closure
 from msa.service import analyze_graph_report
 from helpers import (
     brute_force_drift,
@@ -134,6 +134,24 @@ def test_loops_match_networkx_on_graphs_too_big_for_brute_force():
             head = cycle.index(min(cycle))
             expected.append(cycle[head:] + cycle[:head])
         assert_loops_match(make_graph(nodes, pairs), expected)
+
+
+def test_closure_and_cyclic_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261021)
+    for _ in range(300):
+        nodes, pairs = _random_digraph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.4))
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(nodes)
+        oracle.add_edges_from(pairs)
+        graph = make_graph(nodes, pairs)
+        assert transitive_closure(graph) == set(nx.transitive_closure(oracle, reflexive=False).edges)
+        cyclic = {
+            frozenset(component)
+            for component in nx.strongly_connected_components(oracle)
+            if len(component) > 1 or any(oracle.has_edge(n, n) for n in component)
+        }
+        assert cyclic_components(graph) == cyclic
 
 
 def test_large_ring_is_one_loop():

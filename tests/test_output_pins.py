@@ -151,18 +151,18 @@ SIM_TURNS = 40
 
 # (task id, seed) -> the content of the JSONL file `msa simulate` writes
 SIMULATE = {
-    ("exam-debate", 0): "65c6d4c3e47b5a6953880aae41d4dd949812eef197d45e68bc9e26d9cad7d030",
-    ("exam-debate", 1): "57d471e67c68e8f25a95d4eadd17890deb4f4865c8c2405ddb09d539e10ff78e",
-    ("exam-debate", 2): "57d471e67c68e8f25a95d4eadd17890deb4f4865c8c2405ddb09d539e10ff78e",
-    ("exam-debate", 3): "57d471e67c68e8f25a95d4eadd17890deb4f4865c8c2405ddb09d539e10ff78e",
-    ("exam-debate", 4): "57d471e67c68e8f25a95d4eadd17890deb4f4865c8c2405ddb09d539e10ff78e",
-    ("exam-debate", 5): "65c6d4c3e47b5a6953880aae41d4dd949812eef197d45e68bc9e26d9cad7d030",
-    ("freeze-debate", 0): "43d23d19a4927cca760b5fcec9e9d11e6d4ce7880ecab157cadcad55b83cbc9d",
-    ("freeze-debate", 1): "de98e6ce40bc5071758e8d104393c0f7bc77c2feadcbef1afb650dd46d61c699",
-    ("freeze-debate", 2): "de98e6ce40bc5071758e8d104393c0f7bc77c2feadcbef1afb650dd46d61c699",
-    ("freeze-debate", 3): "de98e6ce40bc5071758e8d104393c0f7bc77c2feadcbef1afb650dd46d61c699",
-    ("freeze-debate", 4): "eb544b1f6fd3ba3ced4699809fc94ec95af52d726a81d638c48246a92485bb7e",
-    ("freeze-debate", 5): "bc091a34cd4057129e6ef4d05ac49a320b1dfc48c82df05a9bfb86cf542fedb4",
+    ("exam-debate", 0): "ea4a3fdf261dc40cb64b3191a331c60d46a83376211325091541e0251e0b9311",
+    ("exam-debate", 1): "d351200cac734f5bd9661720bf8439882b133df1f80f4f727b940fd75d528b90",
+    ("exam-debate", 2): "d351200cac734f5bd9661720bf8439882b133df1f80f4f727b940fd75d528b90",
+    ("exam-debate", 3): "d351200cac734f5bd9661720bf8439882b133df1f80f4f727b940fd75d528b90",
+    ("exam-debate", 4): "d351200cac734f5bd9661720bf8439882b133df1f80f4f727b940fd75d528b90",
+    ("exam-debate", 5): "ea4a3fdf261dc40cb64b3191a331c60d46a83376211325091541e0251e0b9311",
+    ("freeze-debate", 0): "a4bc61ab68105befe1d7ab77323378e106aefdf8cece05b0435cf0fd2f42f30b",
+    ("freeze-debate", 1): "e8dfff6414e05aa10f4bbc04d93f8431aed4c38cf6e1782105b4483871242d13",
+    ("freeze-debate", 2): "e8dfff6414e05aa10f4bbc04d93f8431aed4c38cf6e1782105b4483871242d13",
+    ("freeze-debate", 3): "e8dfff6414e05aa10f4bbc04d93f8431aed4c38cf6e1782105b4483871242d13",
+    ("freeze-debate", 4): "3e20be5d49b1ba76b825831993984b07d7e99b35de2d2d018065ffa1fbef0493",
+    ("freeze-debate", 5): "a4b1075addc8e3baa99c803dd1579022d6d4da0c1a5887249251af2f8199d38b",
 }
 
 

@@ -26,6 +26,7 @@ from msa.scoring.heuristics import CONFIDENCE, auto_annotate, heuristic_score
 from msa.scoring.report import annotate_transcript, scorecard_json
 from msa.text import content_tokens
 from helpers import (
+    count_calls,
     make_transcript,
     reference_auto_annotate,
     reference_classify_role,
@@ -244,14 +245,7 @@ def test_per_turn_primitives_match_their_references(text):
 
 @pytest.mark.parametrize("n_turns", [6, 600])
 def test_annotate_tokenizes_each_turn_once(monkeypatch, n_turns):
-    calls = []
-    tokenize = heuristics.content_tokens
-
-    def counting(text, *args, **kwargs):
-        calls.append(text)
-        return tokenize(text, *args, **kwargs)
-
-    monkeypatch.setattr(heuristics, "content_tokens", counting)
+    calls = count_calls(monkeypatch, heuristics, "content_tokens")
     rows = [("ab"[i % 2], f"turn {i} keeps the budget review going.", "user")
             for i in range(n_turns)]
     auto_annotate(dialog(*rows))

@@ -12,7 +12,7 @@ import msa.simulate
 from msa.dialogue.llm import StubLlmClient
 from msa.errors import InvalidRequest, LlmUnavailable, MalformedJson, UnknownValue
 from msa.simulate import MultiSpeakerTask, load_task, run_simulation_to_file, simulate
-from helpers import best_seconds
+from helpers import best_seconds, count_calls
 
 STUB = StubLlmClient()
 
@@ -182,12 +182,6 @@ def test_long_stub_simulation_grows_linearly():
     assert len(transcript.turns) == 201
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the stub echoes the whole last turn, so each stub turn is about 180 chars "
-    "longer than the one before; ROADMAP item 12, a stub run linear in --turns, bounds it",
-)
 def test_stub_turn_length_is_flat_as_the_transcript_grows():
     # ROADMAP item 5's sweep over simulate --turns, on the stub's echo length.
     # Untagged speakers keep the directives, and so the 200-turn run, short.
@@ -254,20 +248,15 @@ def test_per_reply_cost_is_flat_as_the_transcript_grows():
 def test_chain_folds_per_reply_are_flat_as_the_transcript_grows(monkeypatch):
     # The work counter beside the ratio gate above: deterministic, no wall clock.
     # replay() looks update_commitments up in its own module, run_pipeline in its.
-    folds = 0
-    fold = msa.dialogue.commitments.update_commitments
-
-    def counting(state, turn):
-        nonlocal folds
-        folds += 1
-        return fold(state, turn)
-
-    for module in (msa.dialogue.commitments, msa.dialogue.pipeline):
-        monkeypatch.setattr(module, "update_commitments", counting)
+    folds = [
+        count_calls(monkeypatch, module, "update_commitments")
+        for module in (msa.dialogue.commitments, msa.dialogue.pipeline)
+    ]
     task = MultiSpeakerTask.from_obj(TASK_OBJ)
     per_reply = {}
     for turns in (50, 200):
-        folds = 0
+        for calls in folds:
+            calls.clear()
         simulate(task, _Committing(), turns=turns, seed=0)
-        per_reply[turns] = folds / turns
+        per_reply[turns] = sum(map(len, folds)) / turns
     assert per_reply[200] <= per_reply[50], f"chain folds per reply: {per_reply}"
