@@ -1,26 +1,18 @@
-"""Commitment lifecycle and responsibility chain tracking.
+"""Commitments and the responsibility chain they form.
 
-Commitments follow a small state machine:
-
-    active -> updated | transferred | closed | abandoned
-    updated -> updated | transferred | closed | abandoned
-    transferred, closed, abandoned -> (terminal)
-
-``abandoned`` is terminal and flagged in reports; nothing ever re-enters
-``active``. Closing is a deliberate act recorded by whoever runs the
-analysis, never something the tracker infers on its own. The silent
-abandonment detector below therefore only reports candidates and mutates
-nothing.
+A commitment is live from the turn that opens it until a transfer phrase by
+its holder hands it on; there is no other state and no state machine. The
+fold writes the transfer turn and the new holder onto the record, and the
+chain's responsibility graph is derived from those two fields. The silent
+abandonment detector below only reports candidates and mutates nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import InvalidTransition
 from ..msl.graph import ResponsibilityEdge, ResponsibilityGraph
 from ..text import content_tokens
 from .transcript import DialogueTurn
@@ -29,52 +21,18 @@ if TYPE_CHECKING:
     from .transcript import Transcript
 
 
-class CommitmentStatus(Enum):
-    ACTIVE = "active"
-    UPDATED = "updated"
-    TRANSFERRED = "transferred"
-    CLOSED = "closed"
-    ABANDONED = "abandoned"
-
-
-LIVE_STATUSES = (CommitmentStatus.ACTIVE, CommitmentStatus.UPDATED)
-
-
-@dataclass(frozen=True)
-class StatusChange:
-    status: CommitmentStatus
-    turn_index: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Commitment:
     id: str
     holder: str
     text: str
-    status: CommitmentStatus
     created_at: int
-    history: tuple[StatusChange, ...] = ()
+    transferred_at: int | None = None
     transferred_to: str | None = None
-
-    def transition(
-        self, status: CommitmentStatus, turn_index: int, target: str | None = None
-    ) -> "Commitment":
-        if not self.is_live or status is CommitmentStatus.ACTIVE:  # the state machine above
-            raise InvalidTransition(
-                f"commitment {self.id}: {self.status.value} -> {status.value} is not allowed"
-            )
-        if status is CommitmentStatus.TRANSFERRED and not target:
-            raise InvalidTransition(f"commitment {self.id}: transfer needs a target speaker")
-        return replace(
-            self,
-            status=status,
-            history=self.history + (StatusChange(status=status, turn_index=turn_index),),
-            transferred_to=target if status is CommitmentStatus.TRANSFERRED else self.transferred_to,
-        )
 
     @property
     def is_live(self) -> bool:
-        return self.status in LIVE_STATUSES
+        return self.transferred_at is None
 
 
 # Commitment patterns are matched case-sensitively, mirroring the legacy
@@ -98,7 +56,7 @@ def _mentions_transfer(text: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainState:
     """Ordered commitments, from which the responsibility graph is derived.
 
@@ -124,11 +82,11 @@ class ChainState:
                 ResponsibilityEdge(
                     source=c.holder,
                     target=c.transferred_to,
-                    utterance_index=c.history[-1].turn_index,
+                    utterance_index=c.transferred_at,
                     label=c.id,
                 )
                 for c in self.commitments
-                if c.status is CommitmentStatus.TRANSFERRED
+                if c.transferred_at is not None
             ),
             key=lambda edge: edge.utterance_index,
         )
@@ -141,7 +99,7 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
 
     A transfer phrase moves the speaker's most recent live commitment to the
     previous distinct speaker (or retains it reflexively when there is none).
-    Otherwise a commitment phrase adds one active commitment, de-duplicated by
+    Otherwise a commitment phrase adds one live commitment, de-duplicated by
     stripped text across the whole chain, at most one per turn.
 
     A turn that changes no commitment shares ``state.commitments`` with the
@@ -160,8 +118,13 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
                 target = state.last_speaker
                 if not target or target == turn.speaker:
                     target = turn.speaker
-                moved = candidate.transition(
-                    CommitmentStatus.TRANSFERRED, turn.index, target=target
+                moved = Commitment(
+                    id=candidate.id,
+                    holder=candidate.holder,
+                    text=candidate.text,
+                    created_at=candidate.created_at,
+                    transferred_at=turn.index,
+                    transferred_to=target,
                 )
                 commitments = commitments[:pos] + (moved,) + commitments[pos + 1:]
                 break
@@ -170,12 +133,7 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
         if all(c.text != key for c in commitments):
             commitments += (
                 Commitment(
-                    id=f"c{turn.index}",
-                    holder=turn.speaker,
-                    text=key,
-                    status=CommitmentStatus.ACTIVE,
-                    created_at=turn.index,
-                    history=(StatusChange(status=CommitmentStatus.ACTIVE, turn_index=turn.index),),
+                    id=f"c{turn.index}", holder=turn.speaker, text=key, created_at=turn.index
                 ),
             )
 

@@ -61,10 +61,6 @@ class EmptyContext(MsaError):
     pass
 
 
-class InvalidTransition(MsaError):
-    pass
-
-
 class LlmUnavailable(MsaError):
     http_status = 502
 

@@ -131,14 +131,15 @@ def brute_force_drift(graph: ResponsibilityGraph) -> set[str]:
     return {n for n in graph.nodes if n not in sources}
 
 
-def reference_chain_edges(transcript: Transcript) -> ResponsibilityGraph:
-    """The chain's transfer graph as first built: one edge appended per transfer.
+def reference_chain(transcript: Transcript) -> tuple[list[dict], ResponsibilityGraph]:
+    """The chain's records and transfer graph, as first built: one edge appended per transfer.
 
-    Folds the turns by the rules of update_commitments and appends each edge,
-    registering its endpoints, at the moment its transfer happens, instead of
-    deriving the graph from the finished commitments.
+    Folds the turns by the rules of update_commitments into one dict per
+    commitment (its fields by name) and appends each edge, registering its
+    endpoints, at the moment its transfer happens, instead of deriving the
+    graph from the finished commitments.
     """
-    commitments: list[dict] = []  # id, holder, text, live
+    commitments: list[dict] = []
     nodes: set[str] = set()
     edges: list[ResponsibilityEdge] = []
     last_speaker, last_index = None, -1
@@ -147,11 +148,12 @@ def reference_chain_edges(transcript: Transcript) -> ResponsibilityGraph:
             continue
         if any(pat in turn.text for pat in DEFAULT_PATTERNS_TRANSFER):
             for commitment in reversed(commitments):
-                if commitment["holder"] == turn.speaker and commitment["live"]:
+                if commitment["holder"] == turn.speaker and commitment["transferred_at"] is None:
                     target = last_speaker
                     if not target or target == turn.speaker:
                         target = turn.speaker
-                    commitment["live"] = False
+                    commitment["transferred_at"] = turn.index
+                    commitment["transferred_to"] = target
                     nodes |= {turn.speaker, target}
                     edges.append(
                         ResponsibilityEdge(
@@ -165,11 +167,16 @@ def reference_chain_edges(transcript: Transcript) -> ResponsibilityGraph:
         elif any(pat in turn.text for pat in DEFAULT_PATTERNS_COMMIT):
             key = turn.text.strip()
             if all(c["text"] != key for c in commitments):
-                commitments.append(
-                    {"id": f"c{turn.index}", "holder": turn.speaker, "text": key, "live": True}
-                )
+                commitments.append({
+                    "id": f"c{turn.index}",
+                    "holder": turn.speaker,
+                    "text": key,
+                    "created_at": turn.index,
+                    "transferred_at": None,
+                    "transferred_to": None,
+                })
         last_speaker, last_index = turn.speaker, turn.index
-    return ResponsibilityGraph(nodes=frozenset(nodes), edges=tuple(edges))
+    return commitments, ResponsibilityGraph(nodes=frozenset(nodes), edges=tuple(edges))
 
 
 def _reference_window_texts(transcript: Transcript, i: int, window: int) -> list[str]:

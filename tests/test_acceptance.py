@@ -14,7 +14,7 @@ import time
 from scipy import stats as scipy_stats
 
 import msa.msl.rules
-from msa.dialogue.commitments import ChainState, Commitment, CommitmentStatus
+from msa.dialogue.commitments import ChainState, Commitment
 from msa.dialogue.drift import detect_drift
 from msa.dialogue.llm import StubLlmClient
 from msa.dialogue.transcript import PragmaticRole
@@ -124,18 +124,15 @@ def test_criterion_4_complexity_contracts(monkeypatch):
         return {"nodes": nodes, "edges": edges}
 
     def transferred_chain(n: int) -> ChainState:
-        commitments = []
-        for i in range(n):
-            fresh = Commitment(
-                id=f"c{i}", holder=f"s{i % 97}", text=f"I will do item {i}",
-                status=CommitmentStatus.ACTIVE, created_at=i,
+        # transfer turns are a permutation of n..2n-1, so the build must sort them
+        commitments = tuple(
+            Commitment(
+                id=f"c{i}", holder=f"s{i % 97}", text=f"I will do item {i}", created_at=i,
+                transferred_at=n + (i * 7919) % n, transferred_to=f"s{(i + 1) % 97}",
             )
-            # transfer turns are a permutation of n..2n-1, so the build must sort them
-            turn = n + (i * 7919) % n
-            commitments.append(
-                fresh.transition(CommitmentStatus.TRANSFERRED, turn, target=f"s{(i + 1) % 97}")
-            )
-        return ChainState(commitments=tuple(commitments), last_index=2 * n)
+            for i in range(n)
+        )
+        return ChainState(commitments=commitments, last_index=2 * n)
 
     ratios = {}
     for name, make, build, (small, large) in (

@@ -1,114 +1,29 @@
-"""Commitment lifecycle, chain replay, transfer, silent abandonment."""
+"""Chain folding, replay, transfer and the silent-abandonment report."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-
-import pytest
+from dataclasses import asdict
 
 import msa.dialogue.commitments
 from msa.dialogue.commitments import (
     ChainState,
-    Commitment,
-    CommitmentStatus,
-    StatusChange,
     flag_silent_abandonment,
     replay,
     update_commitments,
 )
 from msa.dialogue.transcript import DialogueTurn, Transcript
-from msa.errors import InvalidTransition
 from helpers import (
     best_seconds,
     count_calls,
     make_transcript,
-    reference_chain_edges,
+    reference_chain,
     reference_silent_abandonment,
 )
 
 
 def turn(i, speaker, text, role="user"):
     return DialogueTurn(speaker=speaker, text=text, turn_role=role, index=i)
-
-
-def fresh(text="I will file it"):
-    return Commitment(
-        id="c0", holder="a", text=text, status=CommitmentStatus.ACTIVE, created_at=0
-    )
-
-
-# --- status machine ---
-
-def test_active_can_close():
-    done = fresh().transition(CommitmentStatus.CLOSED, turn_index=4)
-    assert done.status == CommitmentStatus.CLOSED
-    assert not done.is_live
-
-
-def test_terminal_states_are_final():
-    closed = fresh().transition(CommitmentStatus.CLOSED, turn_index=1)
-    for target in CommitmentStatus:
-        with pytest.raises(InvalidTransition):
-            closed.transition(target, turn_index=2)
-    gone = fresh().transition(CommitmentStatus.ABANDONED, turn_index=1)
-    with pytest.raises(InvalidTransition):
-        gone.transition(CommitmentStatus.ACTIVE, turn_index=2)
-
-
-def test_updated_keeps_full_choice():
-    c = fresh().transition(CommitmentStatus.UPDATED, turn_index=1)
-    assert c.is_live
-    c = c.transition(CommitmentStatus.UPDATED, turn_index=2)
-    assert c.transition(CommitmentStatus.ABANDONED, turn_index=3).status is CommitmentStatus.ABANDONED
-
-
-def test_no_transition_back_to_active():
-    with pytest.raises(InvalidTransition):
-        fresh().transition(CommitmentStatus.ACTIVE, turn_index=1)
-
-
-def test_transfer_requires_target():
-    with pytest.raises(InvalidTransition):
-        fresh().transition(CommitmentStatus.TRANSFERRED, turn_index=1)
-    moved = fresh().transition(CommitmentStatus.TRANSFERRED, turn_index=1, target="b")
-    assert moved.transferred_to == "b"
-    assert moved.holder == "a"
-    assert not moved.is_live
-
-
-S = CommitmentStatus
-LIFECYCLE = {  # the lifecycle table, as allowed target sets
-    S.ACTIVE: {S.UPDATED, S.TRANSFERRED, S.CLOSED, S.ABANDONED},
-    S.UPDATED: {S.UPDATED, S.TRANSFERRED, S.CLOSED, S.ABANDONED},
-    S.TRANSFERRED: set(),
-    S.CLOSED: set(),
-    S.ABANDONED: set(),
-}
-
-
-@pytest.mark.parametrize("source", list(S), ids=lambda s: s.value)
-@pytest.mark.parametrize("status", list(S), ids=lambda s: s.value)
-def test_lifecycle_table(source, status):
-    commitment = replace(fresh(), status=source)
-    for target in ("b", "", None):
-        if status not in LIFECYCLE[source]:
-            expected = f"commitment c0: {source.value} -> {status.value} is not allowed"
-        elif status is S.TRANSFERRED and not target:
-            expected = "commitment c0: transfer needs a target speaker"
-        else:
-            moved = commitment.transition(status, turn_index=7, target=target)
-            assert moved.status is status
-            assert moved.transferred_to == (target if status is S.TRANSFERRED else None)
-            continue
-        with pytest.raises(InvalidTransition) as err:
-            commitment.transition(status, turn_index=7, target=target)
-        assert str(err.value) == expected
-
-
-def test_transition_records_history():
-    c = fresh().transition(CommitmentStatus.UPDATED, turn_index=3)
-    assert c.history == (StatusChange(status=CommitmentStatus.UPDATED, turn_index=3),)
 
 
 # --- chain folding ---
@@ -132,11 +47,14 @@ def test_transfer_moves_most_recent_live_commitment():
     state = update_commitments(state, turn(0, "a", "I will draft the doc."))
     state = update_commitments(state, turn(1, "b", "Sounds good."))
     state = update_commitments(state, turn(2, "a", "I'll leave that to you."))
+    # a transferred commitment is never moved again
+    state = update_commitments(state, turn(3, "c", "Fine."))
+    state = update_commitments(state, turn(4, "a", "I'll leave that to you."))
     moved = state.commitments[0]
-    assert moved.status is CommitmentStatus.TRANSFERRED
-    assert moved.transferred_to == "b"
-    edges = {(e.source, e.target, e.label) for e in state.graph.edges}
-    assert ("a", "b", "c0") in edges
+    assert (moved.transferred_at, moved.transferred_to) == (2, "b")
+    assert not moved.is_live
+    edges = [(e.source, e.target, e.utterance_index, e.label) for e in state.graph.edges]
+    assert edges == [("a", "b", 2, "c0")]
 
 
 def test_transfer_without_partner_retains_self():
@@ -183,7 +101,8 @@ _SWEEP_TEXTS = (
 
 
 def test_derived_graph_matches_append_oracle():
-    """replay(t).graph equals the graph built by appending an edge per transfer."""
+    """replay(t) holds the reference's records, and its graph equals the one
+    built by appending an edge per transfer."""
     out_of_creation_order = 0
     for seed in range(4):
         rng = random.Random(seed)
@@ -199,7 +118,9 @@ def test_derived_graph_matches_append_oracle():
             ]
             transcript = make_transcript(rows)
             state = replay(transcript)
-            assert state.graph == reference_chain_edges(transcript)
+            records, graph = reference_chain(transcript)
+            assert [asdict(c) for c in state.commitments] == records
+            assert state.graph == graph
             labels = [edge.label for edge in state.graph.edges]
             out_of_creation_order += labels != sorted(labels, key=lambda c: int(c[1:]))
     assert out_of_creation_order > 0  # the sweep exercises the ordering by transfer turn
@@ -270,7 +191,9 @@ def test_report_does_not_mutate_state():
     transcript = make_transcript(rows)
     state = replay(transcript)
     flag_silent_abandonment(state, transcript)
-    assert state.commitments[0].status is CommitmentStatus.ACTIVE
+    kept = state.commitments[0]
+    assert (kept.transferred_at, kept.transferred_to) == (None, None)
+    assert kept.is_live
 
 
 _REPORT_TEXTS = (

@@ -4,7 +4,7 @@
 points in-process, and times an import snippet in a fresh interpreter. A
 change that drops or renames one of those names breaks the benchmark without
 breaking any other test, so this file exercises each of them. It reads
-`perfbench/` and writes nothing there.
+`perfbench/` and writes nothing there: the traced run below works on a copy.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -80,3 +81,24 @@ def test_setup_snippet_runs():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout.strip()) > 0
+
+
+def test_traced_run_reports_every_per_layer_metric(tmp_path):
+    """`run.py --trace 1` traces all four workloads and exits 0 with every declared metric.
+
+    An exception escaping the run (a per-layer figure read from a span that
+    never fired, because a patched name fell off the call path) exits 1 here.
+    The copy of `perfbench/` keeps its spans and transcripts out of the repo.
+    """
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "service-keepalive",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), done.stderr
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert sorted(result["metrics"]) == sorted(metric["name"] for metric in declared)
