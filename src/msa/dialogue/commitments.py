@@ -23,12 +23,15 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, slots=True)
 class Commitment:
-    id: str
     holder: str
     text: str
     created_at: int
     transferred_at: int | None = None
     transferred_to: str | None = None
+
+    @property
+    def id(self) -> str:
+        return f"c{self.created_at}"
 
     @property
     def is_live(self) -> bool:
@@ -60,14 +63,11 @@ def _mentions_transfer(text: str) -> bool:
 class ChainState:
     """Ordered commitments, from which the responsibility graph is derived.
 
-    ``last_index`` makes ingestion idempotent: a turn at an index the state
-    has already consumed is skipped, so replaying a transcript is a no-op.
     ``last_speaker`` resolves who "you" is when a transfer phrase fires.
     """
 
     commitments: tuple[Commitment, ...] = ()
     last_speaker: str | None = None
-    last_index: int = -1
 
     @property
     def graph(self) -> ResponsibilityGraph:
@@ -98,7 +98,8 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
     """Fold one turn into the chain state; returns a new state.
 
     A transfer phrase moves the speaker's most recent live commitment to the
-    previous distinct speaker (or retains it reflexively when there is none).
+    previous turn's speaker, or keeps it with the speaker when there is no
+    previous turn or that turn was the speaker's own.
     Otherwise a commitment phrase adds one live commitment, de-duplicated by
     stripped text across the whole chain, at most one per turn.
 
@@ -106,9 +107,6 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
     new state; a transfer rebuilds the tuple around the moved commitment and
     a new commitment is appended to a copy.
     """
-    if turn.index <= state.last_index:
-        return state
-
     commitments = state.commitments
 
     if _mentions_transfer(turn.text):
@@ -119,7 +117,6 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
                 if not target or target == turn.speaker:
                     target = turn.speaker
                 moved = Commitment(
-                    id=candidate.id,
                     holder=candidate.holder,
                     text=candidate.text,
                     created_at=candidate.created_at,
@@ -131,17 +128,9 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
     elif mentions_commitment(turn.text):
         key = turn.text.strip()
         if all(c.text != key for c in commitments):
-            commitments += (
-                Commitment(
-                    id=f"c{turn.index}", holder=turn.speaker, text=key, created_at=turn.index
-                ),
-            )
+            commitments += (Commitment(holder=turn.speaker, text=key, created_at=turn.index),)
 
-    return ChainState(
-        commitments=commitments,
-        last_speaker=turn.speaker,
-        last_index=turn.index,
-    )
+    return ChainState(commitments=commitments, last_speaker=turn.speaker)
 
 
 def replay(transcript: "Transcript") -> ChainState:

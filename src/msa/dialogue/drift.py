@@ -20,8 +20,11 @@ DEFAULT_DRIFT_THRESHOLD = 0.2
 class DriftReport:
     turn_index: int
     overlap_ratio: float
-    drifted: bool
     realignment: str | None
+
+    @property
+    def drifted(self) -> bool:
+        return self.realignment is not None
 
 
 def generate_realignment(last_user_text: str) -> str:
@@ -47,10 +50,8 @@ def detect_drift(prev_text: str, curr_text: str, *, turn_index: int) -> DriftRep
         return None
     overlap = len(set(prev_tokens) & set(curr_tokens))
     ratio = overlap / len(curr_tokens)
-    drifted = ratio < DEFAULT_DRIFT_THRESHOLD
     return DriftReport(
         turn_index=turn_index,
         overlap_ratio=ratio,
-        drifted=drifted,
-        realignment=generate_realignment(curr_text) if drifted else None,
+        realignment=generate_realignment(curr_text) if ratio < DEFAULT_DRIFT_THRESHOLD else None,
     )

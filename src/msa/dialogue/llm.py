@@ -33,6 +33,9 @@ ENV_BASE_URL = "MSA_LLM_BASE_URL"
 ENV_MODEL = "MSA_LLM_MODEL"
 ENV_TOKEN = "MSA_LLM_TOKEN"
 
+TIMEOUT_S = 30.0  # seconds each attempt may wait on the backend
+RETRIES = 2  # attempts after the first
+
 
 class LlmClient(Protocol):
     def generate(self, directives: str, context: "Transcript") -> str: ...
@@ -55,8 +58,6 @@ class RemoteLlmClient:
     base_url: str
     model: str
     token: str | None = None
-    timeout: float = 30.0
-    retries: int = 2
 
     @classmethod
     def from_env(cls) -> "RemoteLlmClient":
@@ -90,10 +91,10 @@ class RemoteLlmClient:
 
         last_error: Exception | None = None
         timed_out = False
-        for _ in range(self.retries + 1):
+        for _ in range(RETRIES + 1):
             request = urllib.request.Request(self.base_url, data=payload, headers=headers)
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
                     raw = response.read(MAX_BODY_BYTES + 1)
                     if len(raw) > MAX_BODY_BYTES:
                         raise LlmUnavailable(f"backend reply exceeds {MAX_BODY_BYTES} bytes")
@@ -111,7 +112,7 @@ class RemoteLlmClient:
             except (OSError, ValueError, MalformedJson) as exc:
                 last_error = exc
         if timed_out:
-            raise LlmTimeout(f"no reply from {self.base_url} in {self.timeout}s") from last_error
+            raise LlmTimeout(f"no reply from {self.base_url} in {TIMEOUT_S}s") from last_error
         raise LlmUnavailable(f"{self.base_url} unreachable: {last_error}") from last_error
 
 

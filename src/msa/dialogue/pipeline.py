@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import EmptyContext, LlmUnavailable
+from ..errors import LlmUnavailable
 from ..gcode.inference import infer_tags
 from ..gcode.tags import SpeakerModuleConfig, build_prompt_directives
 # Unread here since run_pipeline stopped scoring; perfbench's SimulateLong patches the
@@ -49,13 +49,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Produce one reply turn, credited to ``speaker``, and the bookkeeping around it.
 
-    Raises EmptyContext for an empty context and LlmUnavailable for an empty
-    reply; client errors propagate after the client's own retry policy is
-    exhausted.
+    Raises EmptyContext for an empty context (from ``infer_tags``) and
+    LlmUnavailable for an empty reply; client errors propagate after the
+    client's own retry policy is exhausted.
     """
-    if not context.turns:
-        raise EmptyContext("pipeline needs at least one turn of context")
-
     tags = infer_tags(context, prev_tags)
     directives = build_prompt_directives(tags)
 
@@ -66,7 +63,7 @@ def run_pipeline(
     if len(context.turns) >= 2:
         prev, last = context.turns[-2:]
         drift = detect_drift(prev.text, last.text, turn_index=last.index)
-    if drift is not None and drift.realignment:  # set exactly when the turn drifted
+    if drift is not None and drift.drifted:
         directives = f"{directives} {drift.realignment}" if directives else drift.realignment
 
     reply_text = llm.generate(directives, context)

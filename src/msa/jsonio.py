@@ -7,6 +7,7 @@ each failure a decode can raise becomes the same structured error.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 from .errors import MalformedJson
@@ -33,17 +34,24 @@ def _refuse_repeated_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 _DECODER = json.JSONDecoder(
     object_pairs_hook=_refuse_repeated_keys, parse_constant=_refuse_constant
 )
+# strict UTF-8 bytes hold no surrogate: only an escape, or str input, can give a lone one
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def parse_json(data: str | bytes, source: str) -> object:
     """Decode one JSON document; bytes must be UTF-8.
 
     A document that is not UTF-8, is not JSON (``NaN``, ``Infinity`` and
-    ``-Infinity`` included), repeats a key within one object, or nests deeper
-    than the decoder's recursion limit raises MalformedJson. The message
-    starts with ``source`` (a path, or ``path:line``) unless it is empty.
+    ``-Infinity`` included), repeats a key within one object, holds a lone
+    surrogate (``"\\ud800"``, not a pair), or nests deeper than the decoder's
+    recursion limit raises MalformedJson. The message starts with ``source``
+    (a path, or ``path:line``) unless it is empty.
     """
     try:
-        return _DECODER.decode(data.decode("utf-8") if isinstance(data, bytes) else data)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        obj = _DECODER.decode(text)
+        if isinstance(data, str) or _SURROGATE_ESCAPE.search(text):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")  # UnicodeEncodeError if lone
+        return obj
     except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
         raise MalformedJson(f"{source}: {exc}" if source else str(exc)) from exc

@@ -125,9 +125,9 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         self._send(code, payload)
 
     def _read_body(self) -> object:
-        if "Transfer-Encoding" in self.headers:
+        if "Transfer-Encoding" in self.headers or len(self.headers.get_all("Content-Length", ())) > 1:
             self.close_connection = True  # the unread body must not parse as the next request
-            raise InvalidRequest("Transfer-Encoding is not supported: send a Content-Length")
+            raise InvalidRequest("send one Content-Length and no Transfer-Encoding")
         declared = (self.headers.get("Content-Length") or "0").strip()
         if not (declared.isascii() and declared.isdigit()):
             self.close_connection = True  # the body's end is unknown, so no request can follow
@@ -149,10 +149,11 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:
         declared = (self.headers.get("Content-Length") or "").strip().lstrip("0")
-        if declared or "Transfer-Encoding" in self.headers:
+        repeated = len(self.headers.get_all("Content-Length", ())) > 1
+        if declared or repeated or "Transfer-Encoding" in self.headers:
             # the body is not read: left unread, it would parse as the next request
             self.close_connection = True
-            message = f"GET {self.path} takes no body"
+            message = "Content-Length is repeated" if repeated else f"GET {self.path} takes no body"
             self._send(400, {"code": "InvalidRequest", "message": message})
         elif self.path == "/health":
             self._send(200, {"status": "ok"})

@@ -142,10 +142,8 @@ def reference_chain(transcript: Transcript) -> tuple[list[dict], ResponsibilityG
     commitments: list[dict] = []
     nodes: set[str] = set()
     edges: list[ResponsibilityEdge] = []
-    last_speaker, last_index = None, -1
+    last_speaker = None
     for turn in transcript.turns:
-        if turn.index <= last_index:
-            continue
         if any(pat in turn.text for pat in DEFAULT_PATTERNS_TRANSFER):
             for commitment in reversed(commitments):
                 if commitment["holder"] == turn.speaker and commitment["transferred_at"] is None:
@@ -175,7 +173,7 @@ def reference_chain(transcript: Transcript) -> tuple[list[dict], ResponsibilityG
                     "transferred_at": None,
                     "transferred_to": None,
                 })
-        last_speaker, last_index = turn.speaker, turn.index
+        last_speaker = turn.speaker
     return commitments, ResponsibilityGraph(nodes=frozenset(nodes), edges=tuple(edges))
 
 

@@ -127,12 +127,12 @@ def test_criterion_4_complexity_contracts(monkeypatch):
         # transfer turns are a permutation of n..2n-1, so the build must sort them
         commitments = tuple(
             Commitment(
-                id=f"c{i}", holder=f"s{i % 97}", text=f"I will do item {i}", created_at=i,
+                holder=f"s{i % 97}", text=f"I will do item {i}", created_at=i,
                 transferred_at=n + (i * 7919) % n, transferred_to=f"s{(i + 1) % 97}",
             )
             for i in range(n)
         )
-        return ChainState(commitments=commitments, last_index=2 * n)
+        return ChainState(commitments=commitments)
 
     ratios = {}
     for name, make, build, (small, large) in (

@@ -583,3 +583,25 @@ def test_simulate_malformed_task_names_the_file(tmp_path, capsys):
     path.write_text("", encoding="utf-8")
     assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error [MalformedJson]: {path}: Expecting value")
+
+
+@pytest.mark.parametrize(
+    "argv,document",
+    [
+        (["graph", "{file}"], r'{"nodes": ["a", "\ud800"], "edges": []}'),
+        (["simulate", "{file}", "--out-dir", "{out}"],
+         r'{"a": {}, "b": {}, "task": "Plan \ud800 it."}'),
+        (["annotate", "{file}"], r'{"speaker": "a", "text": "x \udc00", "turn_role": "user"}'),
+    ],
+    ids=["graph", "simulate-task", "annotate"],
+)
+def test_lone_surrogate_exits_2(tmp_path, capsys, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(document, encoding="ascii")
+    out_dir = tmp_path / "out"
+    fill = {"{file}": str(path), "{out}": str(out_dir)}
+    assert main([fill.get(arg, arg) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[MalformedJson]" in err and "surrogates not allowed" in err
+    assert not out_dir.exists()  # simulate opens no transcript file

@@ -1,4 +1,5 @@
-"""The one JSON decoder refuses what is not JSON, and a key repeated within one object."""
+"""The one JSON decoder refuses what is not JSON, a key repeated within one object, and a
+lone surrogate."""
 
 from __future__ import annotations
 
@@ -26,3 +27,18 @@ def test_refuses_a_repeated_key(document, key):
 
 def test_keys_differing_in_case_are_distinct():
     assert parse_json('{"tone": 1, "TONE": 2}', "") == {"tone": 1, "TONE": 2}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [r'"\ud800"', r'{"\uDC00": 1}', r'["ok", "\ud83d"]', r'"\ude00\ud83d"', '"raw \ud800"',
+     b'"\\ud800"'],
+    ids=["high", "low-key", "unpaired-high", "reversed-pair", "raw-in-str", "bytes"],
+)
+def test_refuses_a_lone_surrogate(document):
+    with pytest.raises(MalformedJson, match="doc.json: .*surrogates not allowed"):
+        parse_json(document, "doc.json")
+
+
+def test_an_escaped_pair_and_an_escaped_backslash_decode():
+    assert parse_json(r'["\ud83d\ude00", "\\ud800"]', "") == ["\U0001F600", "\\ud800"]

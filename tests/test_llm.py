@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import msa.dialogue.llm
 from msa.dialogue.llm import (
     ENV_BASE_URL,
     ENV_MODEL,
@@ -105,9 +106,14 @@ def fake_endpoint():
     server.server_close()
 
 
-def _client_for(server, **kw):
+def _client_for(server):
     port = server.server_address[1]
-    return RemoteLlmClient(base_url=f"http://127.0.0.1:{port}", model="test-model", **kw)
+    return RemoteLlmClient(base_url=f"http://127.0.0.1:{port}", model="test-model")
+
+
+@pytest.fixture
+def no_retries(monkeypatch):
+    monkeypatch.setattr(msa.dialogue.llm, "RETRIES", 0)
 
 
 def test_remote_round_trip(fake_endpoint):
@@ -134,35 +140,36 @@ def test_remote_env_construction(fake_endpoint, monkeypatch):
     assert fake_endpoint.seen[0]["model"] == "env-model"
 
 
-def test_remote_server_error_maps_to_unavailable(fake_endpoint):
+def test_remote_server_error_maps_to_unavailable(fake_endpoint, monkeypatch):
+    monkeypatch.setattr(msa.dialogue.llm, "RETRIES", 1)
     fake_endpoint.mode = "error"
-    client = _client_for(fake_endpoint, retries=1)
+    client = _client_for(fake_endpoint)
     ctx = make_transcript([("u", "ping", "user")])
     with pytest.raises(LlmUnavailable):
         client.generate("", ctx)
     assert len(fake_endpoint.seen) == 2  # first try plus one retry
 
 
-def test_remote_missing_output_field(fake_endpoint):
+def test_remote_missing_output_field(fake_endpoint, no_retries):
     fake_endpoint.mode = "missing-field"
-    client = _client_for(fake_endpoint, retries=0)
+    client = _client_for(fake_endpoint)
     ctx = make_transcript([("u", "ping", "user")])
     with pytest.raises(LlmUnavailable):
         client.generate("", ctx)
 
 
-def test_remote_empty_output_is_unavailable(fake_endpoint):
+def test_remote_empty_output_is_unavailable(fake_endpoint, no_retries):
     fake_endpoint.mode = "empty-output"
-    client = _client_for(fake_endpoint, retries=0)
+    client = _client_for(fake_endpoint)
     ctx = make_transcript([("u", "ping", "user")])
     with pytest.raises(LlmUnavailable, match="no 'output' text"):
         client.generate("", ctx)
 
 
 @pytest.mark.parametrize("mode", list(REPLY_BODIES))
-def test_remote_reply_that_is_no_json_object_is_unavailable(fake_endpoint, mode):
+def test_remote_reply_that_is_no_json_object_is_unavailable(fake_endpoint, no_retries, mode):
     fake_endpoint.mode = mode
-    client = _client_for(fake_endpoint, retries=0)
+    client = _client_for(fake_endpoint)
     ctx = make_transcript([("u", "ping", "user")])
     with pytest.raises(LlmUnavailable):
         client.generate("", ctx)
@@ -179,14 +186,15 @@ def test_remote_reply_past_the_size_cap_is_unavailable_without_retry(fake_endpoi
     assert len(fake_endpoint.seen) == 2  # one request per call
 
 
-def test_remote_connection_refused_is_unavailable():
-    client = RemoteLlmClient(base_url="http://127.0.0.1:1", model="m", retries=0)
+def test_remote_connection_refused_is_unavailable(no_retries):
+    client = RemoteLlmClient(base_url="http://127.0.0.1:1", model="m")
     ctx = make_transcript([("u", "ping", "user")])
     with pytest.raises(LlmUnavailable):
         client.generate("", ctx)
 
 
-def test_remote_timeout():
+def test_remote_timeout(no_retries, monkeypatch):
+    monkeypatch.setattr(msa.dialogue.llm, "TIMEOUT_S", 0.2)
     # a listener that accepts the connection and then stays silent
     import socket
 
@@ -195,9 +203,7 @@ def test_remote_timeout():
     listener.listen(1)
     port = listener.getsockname()[1]
     try:
-        client = RemoteLlmClient(
-            base_url=f"http://127.0.0.1:{port}", model="m", timeout=0.2, retries=0
-        )
+        client = RemoteLlmClient(base_url=f"http://127.0.0.1:{port}", model="m")
         ctx = make_transcript([("u", "ping", "user")])
         with pytest.raises(LlmTimeout):
             client.generate("", ctx)

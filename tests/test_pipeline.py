@@ -82,12 +82,15 @@ def test_commitments_folded_including_reply():
         [
             ("u", "I will write the postmortem.", "user"),
             ("a", "Noted.", "assistant"),
-            ("u", "The timeline still needs owners.", "user"),
+            ("u", "Someone should own the timeline.", "user"),
         ]
     )
     result = run_pipeline(ctx, SpeakerModuleConfig(), STUB, "assistant")
-    assert len(result.chain.commitments) == 1
-    assert result.chain.last_index == 3  # reply was folded too
+    # the stub's echo quotes the last turn's "should", so the reply opens one too
+    assert [(c.id, c.holder) for c in result.chain.commitments] == [
+        ("c0", "u"), ("c2", "u"), ("c3", "assistant")
+    ]
+    assert result.chain.commitments[-1].text == result.reply.text
 
 
 def test_scores_cover_extended_transcript():

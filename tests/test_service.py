@@ -129,6 +129,33 @@ def test_deeply_nested_body_is_400(path):
     assert (status, body["code"]) == (400, "MalformedJson")
 
 
+@pytest.mark.parametrize(
+    "path,body",
+    [
+        ("/generate_with_speaker_module", r'{"prompt": "x \ud800", "speaker_module": []}'),
+        ("/annotate", r'{"turns": [{"speaker": "a", "text": "\udc00", "turn_role": "user"}]}'),
+        ("/analyze_graph", r'{"nodes": ["\ud800"], "edges": []}'),
+    ],
+    ids=["generate", "annotate", "analyze-graph"],
+)
+def test_lone_surrogate_body_is_400(path, body):
+    with running_server() as port:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        conn.request("POST", path, body.encode("ascii"))
+        response = conn.getresponse()
+        status, reply = response.status, json.loads(response.read())
+        conn.close()
+    assert (status, reply["code"]) == (400, "MalformedJson")
+
+
+def test_escaped_surrogate_pair_in_a_prompt_is_one_character():
+    body = {"prompt": "smile \U0001F600", "speaker_module": ["#T_NEUTRAL"]}
+    with running_server() as port:
+        status, reply = post_json(port, "/generate_with_speaker_module", body)
+    assert status == 200
+    assert "smile \U0001F600" in reply["output"]
+
+
 def _exchange_until_close(port: int, request: bytes) -> bytes:
     """Send raw request bytes and read everything the server writes until it closes."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
@@ -240,6 +267,23 @@ def test_get_with_a_body_gets_one_400_then_eof(framing, body):
     assert b"\r\nConnection: close\r\n" in head
     expected = {"code": "InvalidRequest", "message": "GET /health takes no body"}
     assert json.loads(rest) == expected  # one JSON document: the body got no reply of its own
+
+
+@pytest.mark.parametrize(
+    "start,body", [("POST /analyze_graph", b"{}"), ("GET /health", b"")], ids=["post", "get"]
+)
+def test_repeated_content_length_gets_one_400_then_eof(start, body):
+    smuggled = b"GET /smuggled HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    request = (
+        f"{start} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {len(body)}\r\n"
+        f"Content-Length: {len(body) + len(smuggled)}\r\n\r\n"
+    ).encode("ascii") + body + smuggled
+    with running_server() as port:
+        reply = _exchange_until_close(port, request)
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"400"
+    assert b"\r\nConnection: close\r\n" in head
+    assert json.loads(rest)["code"] == "InvalidRequest"  # one JSON document: /smuggled got no reply
 
 
 @pytest.mark.parametrize(
