@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..msl.graph import ResponsibilityEdge, ResponsibilityGraph
-from ..text import content_tokens
+from ..text import contains_any, content_tokens
 from .transcript import DialogueTurn
 
 if TYPE_CHECKING:
@@ -38,25 +38,10 @@ class Commitment:
         return self.transferred_at is None
 
 
-# Commitment patterns are matched case-sensitively, mirroring the legacy
-# membership check. The transfer phrase comes from the delegation guideline.
+# Both tables are matched through ``contains_any``. The transfer phrase comes
+# from the delegation guideline.
 DEFAULT_PATTERNS_COMMIT = ("I will", "will", "should")
 DEFAULT_PATTERNS_TRANSFER = ("I'll leave that to",)
-
-
-def mentions_commitment(text: str) -> bool:
-    """The commitment test shared by the chain fold and the heuristic triple."""
-    for pat in DEFAULT_PATTERNS_COMMIT:
-        if pat in text:
-            return True
-    return False
-
-
-def _mentions_transfer(text: str) -> bool:
-    for pat in DEFAULT_PATTERNS_TRANSFER:
-        if pat in text:
-            return True
-    return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +94,7 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
     """
     commitments = state.commitments
 
-    if _mentions_transfer(turn.text):
+    if contains_any(turn.text, DEFAULT_PATTERNS_TRANSFER):
         for pos in range(len(commitments) - 1, -1, -1):
             candidate = commitments[pos]
             if candidate.holder == turn.speaker and candidate.is_live:
@@ -125,7 +110,7 @@ def update_commitments(state: ChainState, turn: DialogueTurn) -> ChainState:
                 )
                 commitments = commitments[:pos] + (moved,) + commitments[pos + 1:]
                 break
-    elif mentions_commitment(turn.text):
+    elif contains_any(turn.text, DEFAULT_PATTERNS_COMMIT):
         key = turn.text.strip()
         if all(c.text != key for c in commitments):
             commitments += (Commitment(holder=turn.speaker, text=key, created_at=turn.index),)

@@ -18,7 +18,6 @@ DEFAULT_DRIFT_THRESHOLD = 0.2
 
 @dataclass(frozen=True)
 class DriftReport:
-    turn_index: int
     overlap_ratio: float
     realignment: str | None
 
@@ -37,7 +36,7 @@ def generate_realignment(last_user_text: str) -> str:
     return f"(please confirm first: '{excerpt(last_user_text)}')"
 
 
-def detect_drift(prev_text: str, curr_text: str, *, turn_index: int) -> DriftReport | None:
+def detect_drift(prev_text: str, curr_text: str) -> DriftReport | None:
     """Compare the current utterance against the previous one.
 
     Both texts are lowercased and stripped of ASCII punctuation before
@@ -51,7 +50,6 @@ def detect_drift(prev_text: str, curr_text: str, *, turn_index: int) -> DriftRep
     overlap = len(set(prev_tokens) & set(curr_tokens))
     ratio = overlap / len(curr_tokens)
     return DriftReport(
-        turn_index=turn_index,
         overlap_ratio=ratio,
         realignment=generate_realignment(curr_text) if ratio < DEFAULT_DRIFT_THRESHOLD else None,
     )

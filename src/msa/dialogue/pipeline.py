@@ -62,7 +62,7 @@ def run_pipeline(
     drift = None
     if len(context.turns) >= 2:
         prev, last = context.turns[-2:]
-        drift = detect_drift(prev.text, last.text, turn_index=last.index)
+        drift = detect_drift(prev.text, last.text)
     if drift is not None and drift.drifted:
         directives = f"{directives} {drift.realignment}" if directives else drift.realignment
 

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..text import contains_any
 from .commitments import DEFAULT_PATTERNS_TRANSFER
 from .transcript import PragmaticRole
 
 if TYPE_CHECKING:
     from .transcript import Transcript
 
-# (phrases, role) pairs, first match wins; a text matching none is an
-# information provider. Phrases match as case-sensitive substrings.
+# (phrases, role) pairs, matched through ``contains_any``; the first match
+# wins, and a text matching none is an information provider.
 ROLE_CUES = (
     (("?",), PragmaticRole.CLARIFIER),
     (
@@ -27,9 +28,8 @@ ROLE_CUES = (
 
 def classify_role(text: str) -> PragmaticRole:
     for phrases, role in ROLE_CUES:
-        for phrase in phrases:
-            if phrase in text:
-                return role
+        if contains_any(text, phrases):
+            return role
     return PragmaticRole.INFORMATION_PROVIDER
 
 

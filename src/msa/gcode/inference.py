@@ -13,14 +13,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..errors import EmptyContext
+from ..text import contains_any
 from .registry import Dimension
 from .tags import GCodeTag, SpeakerModuleConfig
 
 if TYPE_CHECKING:
     from ..dialogue.transcript import Transcript
 
-# (phrases, dimension, value) rows; phrases match as case-sensitive
-# substrings, and every value is registered for its dimension.
+# (phrases, dimension, value) rows, matched through ``contains_any``; every
+# value is registered for its dimension.
 INFERENCE_CUES: tuple[tuple[tuple[str, ...], Dimension, str], ...] = (
     (("?",), Dimension.TONE, "NEUTRAL"),
 )
@@ -43,6 +44,6 @@ def infer_tags(context: "Transcript", prev: SpeakerModuleConfig) -> SpeakerModul
     last_text = context.turns[-1].text
     config = prev
     for phrases, dimension, value in default_inference_rules():
-        if any(phrase in last_text for phrase in phrases):
+        if contains_any(last_text, phrases):
             config = config.with_tag(GCodeTag(dimension=dimension, value=value))
     return config

@@ -19,8 +19,8 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from ..errors import EmptyContext
-from ..text import content_tokens
-from ..dialogue.commitments import DEFAULT_PATTERNS_TRANSFER, mentions_commitment
+from ..text import contains_any, content_tokens
+from ..dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
 from ..dialogue.roles import classify_role
 from .rubric import SubScores
 
@@ -51,7 +51,7 @@ def heuristic_score(dialog: "Transcript") -> HeuristicScores:
     alternating = all(
         turns[i].speaker != turns[i + 1].speaker for i in range(len(turns) - 1)
     )
-    commits = sum(1 for turn in turns if mentions_commitment(turn.text))
+    commits = sum(1 for turn in turns if contains_any(turn.text, DEFAULT_PATTERNS_COMMIT))
     drifts = sum(1 for turn in turns if len(turn.text.split()) < 3)
 
     return HeuristicScores(

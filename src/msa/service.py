@@ -125,17 +125,28 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
         self._send(code, payload)
 
     def _read_body(self) -> object:
-        if "Transfer-Encoding" in self.headers or len(self.headers.get_all("Content-Length", ())) > 1:
+        """The JSON body, or None for a GET, which must declare none: the one framing check.
+
+        A missing Content-Length means no body; an empty one is refused.
+        """
+        declared = self.headers.get("Content-Length", "0").strip()
+        encoded = "Transfer-Encoding" in self.headers
+        repeated = len(self.headers.get_all("Content-Length", ())) > 1
+        refusal = None
+        if self.command == "GET" and (encoded or declared.lstrip("0")) and not repeated:
+            refusal = f"GET {self.path} takes no body"
+        elif encoded or repeated:
+            refusal = "send one Content-Length and no Transfer-Encoding"
+        elif not (declared.isascii() and declared.isdigit()):
+            refusal = f"Content-Length must be a non-negative integer: {declared!r}"
+        elif int(declared) > MAX_BODY_BYTES:
+            refusal = f"body exceeds {MAX_BODY_BYTES} bytes"
+        if refusal:
             self.close_connection = True  # the unread body must not parse as the next request
-            raise InvalidRequest("send one Content-Length and no Transfer-Encoding")
-        declared = (self.headers.get("Content-Length") or "0").strip()
-        if not (declared.isascii() and declared.isdigit()):
-            self.close_connection = True  # the body's end is unknown, so no request can follow
-            raise InvalidRequest(f"Content-Length must be a non-negative integer: {declared!r}")
+            raise InvalidRequest(refusal)
+        if self.command == "GET":
+            return None
         length = int(declared)
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True  # the unread body must not parse as the next request
-            raise InvalidRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
         try:
             raw = self.rfile.read(length) if length else b""
         except TimeoutError:
@@ -147,23 +158,11 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
             raise MalformedJson("empty request body")
         return parse_json(raw, "")
 
-    def do_GET(self) -> None:
-        declared = (self.headers.get("Content-Length") or "").strip().lstrip("0")
-        repeated = len(self.headers.get_all("Content-Length", ())) > 1
-        if declared or repeated or "Transfer-Encoding" in self.headers:
-            # the body is not read: left unread, it would parse as the next request
-            self.close_connection = True
-            message = "Content-Length is repeated" if repeated else f"GET {self.path} takes no body"
-            self._send(400, {"code": "InvalidRequest", "message": message})
-        elif self.path == "/health":
-            self._send(200, {"status": "ok"})
-        else:
-            self._send(404, {"code": "NotFound", "message": f"no route for GET {self.path}"})
-
     def do_POST(self) -> None:
+        route = f"{self.command} {self.path}"
         try:
             body = self._read_body()
-            if self.path == "/generate_with_speaker_module":
+            if route == "POST /generate_with_speaker_module":
                 if not isinstance(body, dict):
                     raise InvalidRequest("request body must be a JSON object")
                 if "speaker_module" not in body:
@@ -175,7 +174,7 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
                     load_registry(),
                 )
                 self._send(200, payload)
-            elif self.path == "/annotate":
+            elif route == "POST /annotate":
                 if not isinstance(body, dict) or "turns" not in body:
                     raise InvalidRequest("request needs a 'turns' array")
                 turns = body["turns"]
@@ -184,15 +183,19 @@ class MsaRequestHandler(BaseHTTPRequestHandler):
                 transcript = Transcript.from_dicts(turns)
                 card = annotate_transcript(transcript)
                 self._send(200, scorecard_json(card).encode("utf-8"))
-            elif self.path == "/analyze_graph":
+            elif route == "POST /analyze_graph":
                 graph = ResponsibilityGraph.from_dict(body)
                 self._send(200, analyze_graph_report(graph))
+            elif route == "GET /health":
+                self._send(200, {"status": "ok"})
             else:
-                self._send(404, {"code": "NotFound", "message": f"no route for POST {self.path}"})
+                self._send(404, {"code": "NotFound", "message": f"no route for {route}"})
         except MsaError as exc:
             self._send(exc.http_status, {"code": exc.code, "message": str(exc)})
         except Exception as exc:  # pragma: no cover - last-resort guard
             self._send(500, {"code": "InternalError", "message": str(exc)})
+
+    do_GET = do_POST  # one request path: GET runs the same framing check and dispatch
 
 
 def serve(host: str, port: int, llm: LlmClient) -> None:

@@ -1,4 +1,4 @@
-"""Text helpers shared by drift detection, context rules, annotation and the stub client.
+"""Text helpers shared by drift detection, context rules, annotation, cue tables and the stub client.
 
 Both token helpers read one normalization of the text (lowercased, ASCII
 punctuation stripped), so ``content_tokens`` is exactly the set of
@@ -8,9 +8,10 @@ punctuation stripped), so ``content_tokens`` is exactly the set of
 from __future__ import annotations
 
 import re
-import string
 
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+# string.punctuation, written out: the CLI's set-up imports this module
+# (through gcode.inference), and loading `string` cost it about 1 ms
+_PUNCT_TABLE = str.maketrans("", "", "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 _CONTENT_TOKEN = re.compile(r"\S{4,}")
 _EXCERPT_CHARS = 120
 
@@ -27,6 +28,17 @@ def tokenize(text: str) -> list[str]:
 def content_tokens(text: str) -> set[str]:
     """Normalized tokens of at least four characters."""
     return set(_CONTENT_TOKEN.findall(_normalize(text)))
+
+
+def contains_any(text: str, phrases: tuple[str, ...]) -> bool:
+    """Whether ``text`` contains one of ``phrases`` as a case-sensitive substring.
+
+    Every cue table is matched through this; a plain loop beats ``any(...)``.
+    """
+    for phrase in phrases:
+        if phrase in text:
+            return True
+    return False
 
 
 def excerpt(text: str) -> str:

@@ -241,8 +241,8 @@ def test_criterion_6_reference_heuristic_mappings():
 
 
 def test_criterion_7_drift_boundaries():
-    boundary = detect_drift("anchor alpha beta", "anchor w x y z", turn_index=1)
-    identical = detect_drift("same exact words", "same exact words", turn_index=1)
+    boundary = detect_drift("anchor alpha beta", "anchor w x y z")
+    identical = detect_drift("same exact words", "same exact words")
     ok = (
         boundary.overlap_ratio == 0.2
         and not boundary.drifted

@@ -8,14 +8,10 @@ import string
 import sys
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from msa.dialogue.commitments import (
-    DEFAULT_PATTERNS_COMMIT,
-    DEFAULT_PATTERNS_TRANSFER,
-    mentions_commitment,
-)
+from msa.dialogue.commitments import DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER
 from msa.dialogue.roles import ROLE_CUES, classify_role
 from msa.dialogue.transcript import Transcript
 from msa.errors import EmptyContext
@@ -24,7 +20,7 @@ from msa.jsonio import parse_json
 from msa.scoring import heuristics
 from msa.scoring.heuristics import CONFIDENCE, auto_annotate, heuristic_score
 from msa.scoring.report import annotate_transcript, scorecard_json
-from msa.text import content_tokens
+from msa.text import contains_any, content_tokens
 from helpers import (
     count_calls,
     make_transcript,
@@ -237,10 +233,13 @@ PRIMITIVE_ATOMS = (
 @seed(20260)
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.sampled_from(PRIMITIVE_ATOMS), max_size=40).map("".join))
+@example(f"word{string.punctuation}word {string.punctuation}")
 def test_per_turn_primitives_match_their_references(text):
     assert content_tokens(text) == reference_content_tokens(text)
     assert classify_role(text) is reference_classify_role(text)
-    assert mentions_commitment(text) == any(pat in text for pat in DEFAULT_PATTERNS_COMMIT)
+    for phrases in (DEFAULT_PATTERNS_COMMIT, DEFAULT_PATTERNS_TRANSFER,
+                    *(phrases for phrases, _ in ROLE_CUES)):
+        assert contains_any(text, phrases) == any(p in text for p in phrases)
 
 
 @pytest.mark.parametrize("n_turns", [6, 600])

@@ -17,6 +17,9 @@ from pathlib import Path
 from statistics import median
 
 import pytest
+from hypothesis import seed, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
 from msa import errors
 from msa.cli import main
@@ -284,6 +287,20 @@ def test_repeated_content_length_gets_one_400_then_eof(start, body):
     assert head.split(b" ", 2)[1] == b"400"
     assert b"\r\nConnection: close\r\n" in head
     assert json.loads(rest)["code"] == "InvalidRequest"  # one JSON document: /smuggled got no reply
+
+
+@pytest.mark.parametrize(
+    "start,body", [("POST /analyze_graph", b"{}"), ("GET /health", b"")], ids=["post", "get"]
+)
+def test_empty_content_length_gets_one_400_then_eof(start, body):
+    # an empty value is not a missing header: it is refused, not read as 0
+    request = f"{start} HTTP/1.1\r\nHost: localhost\r\nContent-Length: \r\n\r\n".encode("ascii")
+    with running_server() as port:
+        reply = _exchange_until_close(port, request + body)
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"400"
+    assert b"\r\nConnection: close\r\n" in head
+    assert json.loads(rest)["code"] == "InvalidRequest"  # one JSON document: the body got no reply
 
 
 @pytest.mark.parametrize(
@@ -579,3 +596,182 @@ def test_annotate_rejects_non_string_turn_fields(field, value):
     assert status == 400
     assert body["code"] == "InvalidRequest"
     assert field in body["message"]
+
+
+# --- HTTP/1.1 framing, explored as request sequences on one kept-alive socket ---
+
+
+def _raw(start: str, body: bytes = b"", framing: str | None = None) -> bytes:
+    """Request bytes: ``framing`` replaces the Content-Length header the body implies."""
+    if framing is None:
+        framing = f"Content-Length: {len(body)}\r\n" if body else ""
+    return f"{start} HTTP/1.1\r\nHost: localhost\r\n{framing}\r\n".encode("ascii") + body
+
+
+GENERATE_BODIES = (
+    SAMPLE_BODY,
+    {"prompt": "", "speaker_module": ["#T_NEUTRAL"]},
+    {"prompt": "x", "speaker_module": ["#T_WHISPER"]},
+    {"prompt": "x", "speaker_module": {"mood": "NEUTRAL"}},
+    {"prompt": "x"},
+    [],
+)
+
+
+def _annotate_request(rng_seed: int) -> bytes:
+    rows = _transcript_rows(random.Random(rng_seed))
+    return _raw("POST /annotate", ('{"turns": [' + ", ".join(rows) + "]}").encode("utf-8"))
+
+
+def _graph_request(rng_seed: int) -> bytes:
+    return _raw("POST /analyze_graph", _graph_text(random.Random(rng_seed)).encode("utf-8"))
+
+
+# Requests framed correctly: each gets one reply and the connection stays open.
+WELL_FRAMED = st.one_of(
+    st.sampled_from([
+        _raw("GET /health"),
+        _raw("GET /no_such_route"),
+        _raw("POST /no_such_route", b"{}"),
+        _raw("POST /annotate", b"not json"),
+        *(_raw("POST /generate_with_speaker_module", json.dumps(body).encode("utf-8"))
+          for body in GENERATE_BODIES),
+    ]),
+    st.builds(_annotate_request, st.integers(0, 2**16)),
+    st.builds(_graph_request, st.integers(0, 2**16)),
+)
+
+SMUGGLED = _raw("GET /smuggled")
+SHORT_BODY = _raw("POST /annotate", b"{}", "Content-Length: 10\r\n")
+
+# Requests the service refuses, with the status and code of the one reply
+# each gets before the connection closes.
+REFUSED = (
+    (_raw("GET /health", b"XYZW 1 2 3\r\n"), 400, "InvalidRequest"),
+    (_raw("GET /health", b"0\r\n\r\n", "Transfer-Encoding: chunked\r\n"), 400, "InvalidRequest"),
+    (_raw("POST /analyze_graph", b"2\r\n{}\r\n0\r\n\r\n", "Transfer-Encoding: chunked\r\n"),
+     400, "InvalidRequest"),
+    (_raw("POST /annotate", b"{}", "Content-Length: abc\r\n"), 400, "InvalidRequest"),
+    (_raw("POST /annotate", b"{}", "Content-Length: -1\r\n"), 400, "InvalidRequest"),
+    (_raw("POST /annotate", b"{}", "Content-Length: \r\n"), 400, "InvalidRequest"),
+    (_raw("GET /health", b"", "Content-Length: \r\n"), 400, "InvalidRequest"),
+    (_raw("POST /annotate", b"{}" + SMUGGLED, f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"),
+     400, "InvalidRequest"),
+    (_raw("POST /analyze_graph", b"{}" + SMUGGLED,
+          f"Content-Length: 2\r\nContent-Length: {2 + len(SMUGGLED)}\r\n"), 400, "InvalidRequest"),
+    (_raw("GET /health", SMUGGLED, f"Content-Length: 0\r\nContent-Length: {len(SMUGGLED)}\r\n"),
+     400, "InvalidRequest"),
+    (b"XYZW 1 2 3\r\n\r\n", 400, "BadRequest"),
+    (b"GET /health HTTP/x.y\r\n\r\n", 400, "BadRequest"),
+    (b"GET /health HTTP/2.0\r\n\r\n", 505, "HTTPVersionNotSupported"),
+    (_raw("HEAD /health"), 501, None),  # a HEAD reply carries no body
+    (SHORT_BODY, 400, "InvalidRequest"),
+)
+
+
+class _Connection:
+    """One client socket that reads replies framed by their Content-Length."""
+
+    def __init__(self, port: int) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        self.buffer = b""
+
+    def _fill(self) -> bool:
+        try:
+            chunk = self.sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        self.buffer += chunk
+        return bool(chunk)
+
+    def exchange(self, request: bytes, replies: int = 1) -> list[tuple[str, dict, bytes]]:
+        """Send ``request`` and read ``replies`` replies: (status line, headers, body) each."""
+        self.sock.sendall(request)
+        out = []
+        for _ in range(replies):
+            while b"\r\n\r\n" not in self.buffer:
+                assert self._fill(), f"closed before a reply; read {self.buffer!r}"
+            head, self.buffer = self.buffer.split(b"\r\n\r\n", 1)
+            status_line, *lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines)
+            length = 0 if request.startswith(b"HEAD ") else int(headers["Content-Length"])
+            while len(self.buffer) < length:
+                assert self._fill(), f"closed inside a reply body; read {self.buffer!r}"
+            body, self.buffer = self.buffer[:length], self.buffer[length:]
+            headers.pop("Date")
+            out.append((status_line, headers, body))
+        return out
+
+    def at_eof(self) -> bool:
+        return not self.buffer and not self._fill()
+
+
+@seed(20261)
+class FramingMachine(RuleBasedStateMachine):
+    """One kept-alive socket to one server; the port is set before a run."""
+
+    port = 0
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.conn = _Connection(self.port)
+
+    def _check(self, reply: tuple[str, dict, bytes]) -> tuple[int, str | None]:
+        """The reply's status and code, after the invariants every reply keeps."""
+        status_line, headers, body = reply
+        status = int(status_line.split(" ", 2)[1])
+        assert status != 500, reply
+        code = None
+        if body:
+            payload = json.loads(body)
+            code = payload.get("code")
+            assert status < 400 or code, reply
+        if headers.get("Connection") == "close":
+            assert self.conn.at_eof(), f"{reply} said close; read {self.conn.buffer!r}"
+            self.conn.sock.close()
+            self.conn = _Connection(self.port)
+        return status, code
+
+    def _fresh(self, request: bytes) -> tuple[str, dict, bytes]:
+        conn = _Connection(self.port)
+        try:
+            return conn.exchange(request)[0]
+        finally:
+            conn.sock.close()
+
+    @rule(requests=st.lists(WELL_FRAMED, min_size=1, max_size=2))
+    def well_framed(self, requests):
+        # two requests in one send must get the replies each gets on a fresh connection
+        replies = self.conn.exchange(b"".join(requests), len(requests))
+        for request, reply in zip(requests, replies):
+            self._check(reply)
+            assert reply == self._fresh(request), request
+            assert "Connection" not in reply[1], reply
+
+    @rule(case=st.sampled_from(REFUSED))
+    def refused(self, case):
+        request, status, code = case
+        if request is SHORT_BODY:  # on a fresh connection, with a short read timeout
+            self.conn.sock.close()
+            patched, MsaRequestHandler.timeout = MsaRequestHandler.timeout, 0.3
+            try:
+                self.conn = _Connection(self.port)
+                [reply] = self.conn.exchange(request)  # the handler set its timeout before replying
+            finally:
+                MsaRequestHandler.timeout = patched
+        else:
+            [reply] = self.conn.exchange(request)
+        assert reply[1].get("Connection") == "close", reply
+        assert self._check(reply) == (status, code), reply
+
+    def teardown(self) -> None:
+        self.conn.sock.close()
+
+
+def test_framing_holds_over_request_sequences():
+    with running_server() as port:
+        FramingMachine.port = port
+        run_state_machine_as_test(
+            FramingMachine,
+            settings=settings(max_examples=25, stateful_step_count=10, deadline=None, database=None),
+        )

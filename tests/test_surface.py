@@ -19,8 +19,7 @@ SRC = ROOT / "src" / "msa"
 
 # Called by http.server itself, never by name from src/.
 EXEMPT = {
-    "MsaRequestHandler.do_GET": "BaseHTTPRequestHandler dispatches GET requests to it",
-    "MsaRequestHandler.do_POST": "BaseHTTPRequestHandler dispatches POST requests to it",
+    "MsaRequestHandler.do_POST": "BaseHTTPRequestHandler dispatches GET and POST requests to it",
     "MsaRequestHandler.log_message": "BaseHTTPRequestHandler calls it for every request log line",
     "MsaRequestHandler.send_error": "BaseHTTPRequestHandler calls it for requests it refuses itself",
 }
