@@ -134,8 +134,8 @@ def _cmd_score_case(args: argparse.Namespace) -> int:
     from .scoring.rubric import read_subscores
 
     path = Path(args.subscores)
-    if not path.exists() and path.stem in FIXTURE_CASES:
-        fixture = load_fixture(path.stem)
+    if not path.exists() and args.subscores in FIXTURE_CASES:
+        fixture = load_fixture(args.subscores)
         card = ScoreCard(fixture.subscores, fixture.function_roles)
     else:
         card = ScoreCard(*read_subscores(parse_json(path.read_bytes(), str(path))))

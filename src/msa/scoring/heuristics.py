@@ -13,8 +13,7 @@ advisory only. It does not claim to replicate human annotation.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -35,11 +34,7 @@ class HeuristicScores:
     context_integrity: int
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "role_continuity": self.role_continuity,
-            "responsibility_trace": self.responsibility_trace,
-            "context_integrity": self.context_integrity,
-        }
+        return asdict(self)
 
 
 def heuristic_score(dialog: "Transcript") -> HeuristicScores:
@@ -77,14 +72,11 @@ REPAIR_MARKERS = ("we're off", "off topic", "off-topic", "not quite what i",
                   "let me rephrase", "to clarify", "wait,")
 
 
-# The search method of one alternation per marker family, in the order
-# auto_annotate unpacks its matches; every marker matches as a literal
-# substring of the lowered text.
-_MARKER_SEARCHES = tuple(
-    re.compile("|".join(map(re.escape, markers))).search
-    for markers in (CASUAL_MARKERS, BLUR_MARKERS, ATTRIBUTION_MARKERS, CONTINUITY_MARKERS,
+# The marker families in the order auto_annotate unpacks its matches. Each
+# family is one contains_any over the lowered text, so a marker matches as a
+# literal substring and a turn costs O(marker phrases): 45 in 8 families.
+_MARKER_FAMILIES = (CASUAL_MARKERS, BLUR_MARKERS, ATTRIBUTION_MARKERS, CONTINUITY_MARKERS,
                     TRANSFER_MARKERS, EVASIVE_MARKERS, MIRROR_MARKERS, REPAIR_MARKERS)
-)
 
 # Fixed confidence per sub-dimension. These are crude lexical proxies and the
 # numbers say so.
@@ -108,7 +100,7 @@ def auto_annotate(transcript: "Transcript") -> SubScores:
     if not turns:
         raise EmptyContext("annotation needs at least one turn")
     n = len(turns)
-    marked = [0] * len(_MARKER_SEARCHES)  # turns matching each marker family
+    marked = [0] * len(_MARKER_FAMILIES)  # turns matching each marker family
     flips = shifts = fragments = attributing = overlaps = echoes = 0
     reuse_hits = reuse_total = 0
     vocab_by_speaker: dict[str, set[str]] = {}
@@ -120,7 +112,7 @@ def auto_annotate(transcript: "Transcript") -> SubScores:
         short = len(words) < 3
         first_person = ("I" in words or text.startswith("I ") or " I'" in text
                         or text.startswith("I'"))
-        matches = [search(lowered) is not None for search in _MARKER_SEARCHES]
+        matches = [contains_any(lowered, family) for family in _MARKER_FAMILIES]
         marked = list(map(add, marked, matches))
         casual, blur, attribution, _, _, evasive, _, _ = matches
         if prev is not None:

@@ -12,20 +12,10 @@ from typing import Sequence, TYPE_CHECKING
 
 from ..dialogue.transcript import PragmaticRole
 from .heuristics import CONFIDENCE, HeuristicScores, auto_annotate, heuristic_score
-from .rubric import (
-    METRIC_KEYS,
-    METRIC_TITLES,
-    SUB_TITLES,
-    SubScores,
-    all_totals,
-    band,
-    shift_rate,
-)
+from .rubric import RUBRIC, SubScores, all_totals, band, shift_rate
 
 if TYPE_CHECKING:
     from ..dialogue.transcript import Transcript
-
-TOTAL_KEYS = ("pragmatic_consistency", "responsibility_chain", "context_stability")
 
 
 @dataclass(frozen=True)
@@ -42,7 +32,10 @@ class ScoreCard:
 
     def to_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
-            "totals": dict(zip(TOTAL_KEYS, all_totals(self.subscores))),
+            "totals": {
+                row.total_key: total
+                for row, total in zip(RUBRIC.values(), all_totals(self.subscores))
+            },
             "subscores": self.subscores.to_dict(),
         }
         if self.heuristic is not None:
@@ -75,13 +68,11 @@ def annotate_transcript(transcript: "Transcript") -> ScoreCard:
 def render_case_table(card: ScoreCard, title: str) -> str:
     """Readable evaluation breakdown, one block per metric."""
     lines = [title, "=" * len(title)]
-    prefixes = {"pragmatic": "P", "responsibility": "R", "context": "C"}
     sub = card.subscores
-    for metric, total in zip(METRIC_KEYS, all_totals(sub)):
-        lines.append(f"{METRIC_TITLES[metric]:<34}{total}/9  ({band(total)})")
-        values = getattr(sub, metric)
-        for i, (label, value) in enumerate(zip(SUB_TITLES[metric], values), start=1):
-            lines.append(f"  {prefixes[metric]}{i} {label:<29}{value}")
+    for (metric, row), total in zip(RUBRIC.items(), all_totals(sub)):
+        lines.append(f"{row.title:<34}{total}/9  ({band(total)})")
+        for i, (label, value) in enumerate(zip(row.sub_titles, getattr(sub, metric)), start=1):
+            lines.append(f"  {row.prefix}{i} {label:<29}{value}")
     shift = shift_rate(card.roles)
     if shift is not None:
         lines.append(f"{'Speaker Role Shift Rate':<34}{shift[1]}%")

@@ -9,29 +9,39 @@ construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..errors import InvalidRequest, RangeViolation
 from ..dialogue.transcript import PragmaticRole
 
 SUB_MAXIMA = (2, 2, 2, 3)
 
-METRIC_KEYS = ("pragmatic", "responsibility", "context")
 
-METRIC_TITLES = {
-    "pragmatic": "Pragmatic Consistency",
-    "responsibility": "Responsibility Chain",
-    "context": "Context Stability",
+class Metric(NamedTuple):
+    """One rubric row: the metric's score card total key, title, sub-score
+    prefix and sub-dimension titles."""
+
+    total_key: str
+    title: str
+    prefix: str
+    sub_titles: tuple[str, str, str, str]
+
+
+# Keyed by metric, in SubScores field order: the code reads a metric's
+# sub-scores as getattr(subscores, key).
+RUBRIC = {
+    "pragmatic": Metric("pragmatic_consistency", "Pragmatic Consistency", "P",
+                        ("Tone Consistency", "Functional Role Stability",
+                         "Syntax and Rhythm Coherence", "Discursive Domain Clarity")),
+    "responsibility": Metric("responsibility_chain", "Responsibility Chain", "R",
+                             ("Attribution Clarity", "Responsibility Continuity",
+                              "Legitimate Transfer", "Chain Closure")),
+    "context": Metric("context_stability", "Context Stability", "C",
+                      ("Thematic Stability", "Contextual Mirroring",
+                       "Repair Capability", "Presuppositional Alignment")),
 }
 
-SUB_TITLES = {
-    "pragmatic": ("Tone Consistency", "Functional Role Stability",
-                  "Syntax and Rhythm Coherence", "Discursive Domain Clarity"),
-    "responsibility": ("Attribution Clarity", "Responsibility Continuity",
-                       "Legitimate Transfer", "Chain Closure"),
-    "context": ("Thematic Stability", "Contextual Mirroring",
-                "Repair Capability", "Presuppositional Alignment"),
-}
+METRIC_KEYS = tuple(RUBRIC)
 
 
 def _check_four(name: str, values: Sequence[int]) -> tuple[int, int, int, int]:

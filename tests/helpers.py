@@ -432,7 +432,8 @@ def make_transcript(rows: list[tuple[str, str, str]]) -> Transcript:
 @contextmanager
 def running_server(llm=None):
     server = MsaHttpServer(("127.0.0.1", 0), llm or StubLlmClient())
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so shutdown() returns in about 10 ms, not 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server.server_address[1]

@@ -133,6 +133,15 @@ def test_score_case_bundled_table():
     assert "0%" in proc.stdout
 
 
+@pytest.mark.parametrize("name", ["case2.json", "sub/case2"])
+def test_score_case_missing_file_named_like_a_case_exits_1(tmp_path, capsys, name):
+    """Only a bare case id names a bundled case; a missing path is a missing file."""
+    assert main(["score-case", str(tmp_path / name)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "case2" in err
+
+
 def test_score_case_from_file(tmp_path):
     path = tmp_path / "my.json"
     path.write_text(

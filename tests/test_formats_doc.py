@@ -1,17 +1,21 @@
 """The vocabulary tables in docs/formats.md match the tables the code reads.
 
-Each row of *Tag vocabulary* and *Inference cues* is compared, cell by cell
-and in order, with ``VOCABULARY`` (and ``Dimension.prefix``) and with
-``INFERENCE_CUES``, so an edit to either side alone fails here.
+Each row of *Tag vocabulary*, *Inference cues* and *Sub-scores* is compared,
+cell by cell and in order, with ``VOCABULARY`` (and ``Dimension.prefix``),
+with ``INFERENCE_CUES`` and with ``RUBRIC`` (and ``SUB_MAXIMA``), so an edit
+to either side alone fails here.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from msa.gcode.inference import INFERENCE_CUES
 from msa.gcode.registry import VOCABULARY
+from msa.scoring.heuristics import _MARKER_FAMILIES
+from msa.scoring.rubric import RUBRIC, SUB_MAXIMA, SubScores
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 
@@ -43,3 +47,24 @@ def test_inference_cues_table_matches_the_cue_rows():
         [list(phrases), [dimension.value], [value]] for phrases, dimension, value in INFERENCE_CUES
     ]
     assert documented == expected
+
+
+def test_rubric_table_matches_the_rubric():
+    documented = table_rows("Sub-scores")
+    expected = [
+        [[metric], [row.total_key], [row.title]]
+        + [
+            [f"{row.prefix}{i}", title, str(cap)]
+            for i, (title, cap) in enumerate(zip(row.sub_titles, SUB_MAXIMA), start=1)
+        ]
+        for metric, row in RUBRIC.items()
+    ]
+    assert documented == expected
+    # the rubric and report code reads SubScores rows by getattr over these keys
+    assert [field.name for field in fields(SubScores)] == list(RUBRIC)
+
+
+def test_marker_phrase_count_matches_the_families():
+    phrases = sum(map(len, _MARKER_FAMILIES))
+    stated = f"{phrases} marker phrases in {len(_MARKER_FAMILIES)} families"
+    assert stated in " ".join(FORMATS.read_text(encoding="utf-8").split())
